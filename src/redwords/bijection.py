@@ -11,6 +11,7 @@ defines the tableau's permutation and reconstructs rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .diagrams import Filling, permutation_of_diagram, rothe_diagram, super_tableau
 from .perms import Permutation
@@ -61,6 +62,16 @@ class Move:
         return tab_braid(f, self.index)
 
 
+@cache
+def moves_for(ell: int) -> tuple[Move, ...]:
+    """Every move on an element of length ell: commutations c1..c(ell-1),
+    then braids b2..b(ell-1).  Shared and immutable, so built once per
+    length."""
+    return tuple(Move("c", i) for i in range(1, ell)) + tuple(
+        Move("b", i) for i in range(2, ell)
+    )
+
+
 def descent_to_super(f: Filling) -> list[Move]:
     """A minimal move sequence taking the tableau to the super tableau.
 
@@ -102,10 +113,8 @@ def word_to_tableau(word: Word) -> Filling:
     word = Word(word)
     if not word:
         return Filling({})
+    v = pairing_permutation(word)  # raises unless the word is reduced
     w = word_to_permutation(word)
-    if len(word) != w.length:
-        raise ValueError(f"word is not reduced: {word}")
-    v = pairing_permutation(word)
     d = rothe_diagram(w)
     rows = d.rows()
     blocks: list[tuple[int, ...]] = []
@@ -194,11 +203,7 @@ def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
 
     edge_fail = None
     for rho, t in mapping.items():
-        ell = len(rho)
-        moves = [Move("c", i) for i in range(1, ell)] + [
-            Move("b", i) for i in range(2, ell)
-        ]
-        for move in moves:
+        for move in moves_for(len(rho)):
             rho2 = move.on_word(rho)
             t2 = move.on_tableau(t)
             if (rho2 == rho) != (t2 == t) or (rho2 != rho and mapping[rho2] != t2):

@@ -12,7 +12,7 @@ import json
 from collections import deque
 from typing import Iterable
 
-from .bijection import Move, tableau_to_word
+from .bijection import moves_for, tableau_to_word
 from .diagrams import Filling, super_tableau
 from .perms import Permutation
 from .report import CheckResult
@@ -80,12 +80,6 @@ class MoveGraph:
         return str(v) if isinstance(v, Word) else v.to_text()
 
 
-def _moves_for(ell: int) -> list[Move]:
-    return [Move("c", i) for i in range(1, ell)] + [
-        Move("b", i) for i in range(2, ell)
-    ]
-
-
 def build_graph(
     w: Permutation,
     model: str = "words",
@@ -115,16 +109,19 @@ def build_graph(
         ranks = [word_inversions(word, _super=pi) for word in vertices]
 
     index = {v: k for k, v in enumerate(vertices)}
-    edges: set[tuple[int, int, str]] = set()
+    # Every element has length(w) letters or cells, and every move is an
+    # involution, so each edge is recorded once, from its lower end.
+    moves = moves_for(w.length)
+    edges: list[tuple[int, int, str]] = []
     for k, element in enumerate(vertices):
-        for move in _moves_for(len(element)):
+        for move in moves:
             other = (
                 move.on_word(element) if model == "words" else move.on_tableau(element)
             )
-            if other == element:
-                continue
-            j = index[other]
-            edges.add((min(k, j), max(k, j), move.label))
+            if other is not element:
+                j = index[other]
+                if k < j:
+                    edges.append((k, j, move.label))
     return MoveGraph(model, w, vertices, sorted(edges), ranks)
 
 

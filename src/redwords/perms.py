@@ -3,6 +3,11 @@
 Everything downstream (words, diagrams, tableaux) indexes from 1, so a
 permutation ``p`` is applied as ``p(i)`` rather than ``p[i-1]``; the tuple
 storage is an implementation detail.
+
+``Permutation(...)`` and ``from_text`` validate every input.  Values the
+package derives from valid ones (swap, inverse, product) are built unchecked
+with ``tuple.__new__(Permutation, entries)``; use that form only where the
+entries are a bijection on 1..n by construction.
 """
 
 from __future__ import annotations
@@ -72,11 +77,12 @@ class Permutation(tuple):
     @property
     def length(self) -> int:
         """Number of pairs i < j with entry at i greater than entry at j."""
-        return sum(
-            1
-            for i, j in itertools.combinations(range(len(self)), 2)
-            if self[i] > self[j]
-        )
+        count = 0
+        for i, a in enumerate(self):
+            for b in self[i + 1 :]:
+                if a > b:
+                    count += 1
+        return count
 
     def descents(self) -> list[int]:
         """Positions i (1-based) where the entry at i exceeds the entry at i+1."""
@@ -95,13 +101,13 @@ class Permutation(tuple):
             raise ValueError(f"swap position {i} out of range 1..{len(self) - 1}")
         entries = list(self)
         entries[i - 1], entries[i] = entries[i], entries[i - 1]
-        return Permutation(entries)
+        return tuple.__new__(Permutation, entries)
 
     def inverse(self) -> "Permutation":
         out = [0] * len(self)
         for pos, value in enumerate(self, start=1):
             out[value - 1] = pos
-        return Permutation(out)
+        return tuple.__new__(Permutation, out)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Compose: (p * q)(i) = p(q(i)).  Sizes must match.
@@ -114,7 +120,9 @@ class Permutation(tuple):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"size mismatch: {len(self)} vs {len(other)}")
-        return Permutation(self[q - 1] for q in other)
+        if not isinstance(other, Permutation):
+            other = Permutation(other)
+        return tuple.__new__(Permutation, [self[q - 1] for q in other])
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self)
@@ -125,8 +133,10 @@ class Permutation(tuple):
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order."""
+    if n < 1:
+        raise ValueError("a permutation needs at least one entry")
     for entries in itertools.permutations(range(1, n + 1)):
-        yield Permutation(entries)
+        yield tuple.__new__(Permutation, entries)
 
 
 if __name__ == "__main__":

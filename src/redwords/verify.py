@@ -120,7 +120,7 @@ def run_suite(n: int) -> list[CheckResult]:
         for rho in cache.words_of(w):
             ell = len(rho)
             inv = words.word_inversions(rho)
-            for move in graphs._moves_for(ell):
+            for move in bijection.moves_for(ell):
                 out = move.on_word(rho)
                 if move.on_word(out) != rho:
                     return f"w={w} rho={rho} {move.label}: not an involution"
@@ -258,7 +258,7 @@ def run_suite(n: int) -> list[CheckResult]:
     def tab_moves(w: Permutation) -> str | None:
         for t in cache.tableaux_of(w):
             inv = tableaux.tab_inversions(t)
-            for move in graphs._moves_for(len(t)):
+            for move in bijection.moves_for(len(t)):
                 out = move.on_tableau(t)
                 if not tableaux.is_balanced(out):
                     return f"w={w} {move.label}: unbalanced image"

@@ -8,6 +8,13 @@ letter.  The combinatorics indexes letters from the right, mirroring how a
 word acts on a permutation (rightmost letter first), so combinatorial index
 ``i`` lives at display position ``len(word) - i``.  ``Word.letter(i)`` does
 that conversion; nothing else in the package mixes the two silently.
+
+``Word(...)`` and ``from_text`` validate every letter; a public function
+passes a plain iterable through ``Word`` but trusts a ``Word`` as it is.
+Words the package derives from valid ones (moves, reversal, runs,
+enumeration) are built unchecked with ``tuple.__new__(Word, letters)``; use
+that form only where the letters are positive by construction.  Functions
+that need a reduced word check reducedness once per call.
 """
 
 from __future__ import annotations
@@ -56,13 +63,17 @@ class Word(tuple):
 
     def reverse(self) -> "Word":
         """Reversal; takes a word for w to a word for the inverse of w."""
-        return Word(reversed(self))
+        return tuple.__new__(Word, self[::-1])
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self)
 
     def __repr__(self) -> str:
         return f"Word({tuple(self)!r})"
+
+
+def _as_word(word: Word | Iterable[int]) -> Word:
+    return word if isinstance(word, Word) else Word(word)
 
 
 def word_to_permutation(word: Word | Iterable[int], n: int | None = None) -> Permutation:
@@ -74,19 +85,19 @@ def word_to_permutation(word: Word | Iterable[int], n: int | None = None) -> Per
     >>> str(word_to_permutation(Word([1, 4, 2, 3, 1])))
     '4,2,1,5,3'
     """
-    word = Word(word)
+    word = _as_word(word)
     rank = n if n is not None else (max(word) + 1 if word else 1)
     if word and max(word) >= rank:
         raise ValueError(f"letter {max(word)} out of range for rank {rank}")
-    v = Permutation.identity(rank)
+    v = list(Permutation.identity(rank))
     for letter in reversed(word):
-        v = v.swap(letter)
-    return v
+        v[letter - 1], v[letter] = v[letter], v[letter - 1]
+    return tuple.__new__(Permutation, v)
 
 
 def is_reduced(word: Word | Iterable[int], n: int | None = None) -> bool:
     """True iff the word's length equals the length of the permutation it makes."""
-    word = Word(word)
+    word = _as_word(word)
     return len(word) == word_to_permutation(word, n).length
 
 
@@ -95,20 +106,18 @@ def iter_reduced_words(w: Permutation) -> Iterator[Word]:
 
     Peels the leftmost letter: it must be a descent position of w, and the
     remainder is a reduced word for w with that descent swapped away.
+    Depth-first over an explicit stack of (permutation, prefix) tuples, so
+    the length of w is not limited by the recursion limit.
     """
-    prefix: list[int] = []
-
-    def extend(v: Permutation) -> Iterator[Word]:
-        descents = v.descents()
+    n = len(w)
+    stack = [(tuple(w), ())]
+    while stack:
+        v, prefix = stack.pop()
+        descents = [i for i in range(1, n) if v[i - 1] > v[i]]
         if not descents:
-            yield Word(prefix)
-            return
-        for i in descents:
-            prefix.append(i)
-            yield from extend(v.swap(i))
-            prefix.pop()
-
-    yield from extend(w)
+            yield tuple.__new__(Word, prefix)
+        for i in reversed(descents):
+            stack.append((v[: i - 1] + (v[i], v[i - 1]) + v[i + 1 :], prefix + (i,)))
 
 
 def enumerate_reduced_words(w: Permutation) -> list[Word]:
@@ -129,16 +138,16 @@ def run_decomposition(word: Word | Iterable[int]) -> list[Word]:
     >>> [str(r) for r in run_decomposition(Word([5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6]))]
     ['5,6', '3,4,5,7', '3', '1,4', '2,3,6']
     """
-    word = Word(word)
+    word = _as_word(word)
     runs: list[Word] = []
     current: list[int] = []
     for letter in word:
         if current and letter <= current[-1]:
-            runs.append(Word(current))
+            runs.append(tuple.__new__(Word, current))
             current = []
         current.append(letter)
     if current:
-        runs.append(Word(current))
+        runs.append(tuple.__new__(Word, current))
     return runs
 
 
@@ -163,20 +172,18 @@ def super_word(w: Permutation) -> Word:
     >>> str(super_word(Permutation([4, 2, 1, 5, 3])))
     '4,2,1,2,3'
     """
-    v = w
-    n = w.n
+    v = list(w)
+    n = len(v)
     out: list[int] = []
     while True:
-        descents = v.descents()
-        if not descents:
+        i = next((k for k in range(n - 1, 0, -1) if v[k - 1] > v[k]), None)
+        if i is None:
             break
-        i = descents[-1]
-        vi = v(i)
-        j = next((k for k in range(i + 1, n + 1) if v(k) > vi), n + 1)
+        vi = v[i - 1]
+        j = next((k for k in range(i + 1, n + 1) if v[k - 1] > vi), n + 1)
         out.extend(range(i, j - 1))
-        for k in range(i, j - 1):
-            v = v.swap(k)
-    return Word(out)
+        v[i - 1 : j - 1] = v[i : j - 1] + [vi]
+    return tuple.__new__(Word, out)
 
 
 def commutation_move(word: Word, i: int) -> Word:
@@ -191,7 +198,7 @@ def commutation_move(word: Word, i: int) -> Word:
         return word
     letters = list(word)
     letters[hi], letters[hi - 1] = b, a
-    return Word(letters)
+    return tuple.__new__(Word, letters)
 
 
 def braid_move(word: Word, i: int) -> Word:
@@ -206,7 +213,7 @@ def braid_move(word: Word, i: int) -> Word:
         return word
     letters = list(word)
     letters[lo : lo + 3] = (b, a, b)
-    return Word(letters)
+    return tuple.__new__(Word, letters)
 
 
 def pairing_permutation(word: Word | Iterable[int], _super: Word | None = None) -> Permutation:
@@ -223,30 +230,30 @@ def pairing_permutation(word: Word | Iterable[int], _super: Word | None = None) 
     >>> str(pairing_permutation(rho))
     '2,3,5,1,8,9,10,4,6,7,11,12'
     """
-    word = Word(word)
+    word = _as_word(word)
     ell = len(word)
     if ell == 0:
         raise ValueError("the empty word has no pairing permutation")
-    w = word_to_permutation(word)
-    if ell != w.length:
-        raise ValueError(f"word is not reduced: {word}")
-    pi = _super if _super is not None else super_word(w)
-    matched = [False] * ell  # indexed by display slot of the input word
+    # Reduced iff every swap, applied right to left, lengthens the permutation.
+    v = list(range(1, max(word) + 2))
+    for letter in reversed(word):
+        a, b = v[letter - 1], v[letter]
+        if a > b:
+            raise ValueError(f"word is not reduced: {word}")
+        v[letter - 1], v[letter] = b, a
+    pi = _super if _super is not None else super_word(tuple.__new__(Permutation, v))
+    unmatched = list(range(ell))  # display slots of the input word
     out = [0] * ell
-    for i in range(ell, 0, -1):
-        k = pi.letter(i)
-        for j in range(ell, 0, -1):
-            slot = ell - j
-            if matched[slot]:
-                continue
+    for i, k in zip(range(ell, 0, -1), pi):
+        for pos, slot in enumerate(unmatched):
             letter = word[slot]
             if letter == k:
-                matched[slot] = True
-                out[i - 1] = j
+                del unmatched[pos]
+                out[i - 1] = ell - slot
                 break
             if letter == k - 1:
                 k -= 1
-    return Permutation(out)
+    return tuple.__new__(Permutation, out)
 
 
 def word_inversions(word: Word | Iterable[int], _super: Word | None = None) -> int:
@@ -257,7 +264,7 @@ def word_inversions(word: Word | Iterable[int], _super: Word | None = None) -> i
     >>> word_inversions(Word([5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6]))
     11
     """
-    word = Word(word)
+    word = _as_word(word)
     if not word:
         return 0
     pi = _super if _super is not None else super_word(word_to_permutation(word))
@@ -292,7 +299,7 @@ def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) ->
     >>> yang_baxter_count(rho, super_word(word_to_permutation(rho)))
     2
     """
-    rho, sigma = Word(rho), Word(sigma)
+    rho, sigma = _as_word(rho), _as_word(sigma)
     if not rho and not sigma:
         return 0
     u = _pair_permutation(rho, sigma)
@@ -308,7 +315,7 @@ def naive_pair_inversions(rho: Word | Iterable[int], sigma: Word | Iterable[int]
     arbitrary pairs, and is returned unclamped (it may in principle be
     negative).
     """
-    rho, sigma = Word(rho), Word(sigma)
+    rho, sigma = _as_word(rho), _as_word(sigma)
     if not rho and not sigma:
         return 0
     u = _pair_permutation(rho, sigma)

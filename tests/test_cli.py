@@ -24,6 +24,13 @@ def test_enumerate_words(capsys):
     }
 
 
+def test_enumerate_deep_input(capsys):
+    w = ",".join(map(str, [*range(2, 1202), 1]))
+    code, out, _ = run_cli(capsys, "enumerate", "-w", w)
+    assert code == 0
+    assert out.splitlines() == [",".join(map(str, range(1200, 0, -1)))]
+
+
 def test_enumerate_json_matches_plain(capsys):
     code, plain, _ = run_cli(capsys, "enumerate", "-w", "4,2,1,5,3")
     code2, as_json, _ = run_cli(capsys, "enumerate", "--json", "-w", "4,2,1,5,3")

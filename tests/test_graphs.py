@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -79,6 +80,23 @@ def test_tableau_graph_4321_matches_reference_figure():
     assert len(g.edges) == 18
     frozen = grid_edges(TABLEAU_GRID_4321, EDGE_GRID_4321, make=tableau_4321)
     assert edge_triples(g) == normalize(frozen)
+
+
+# sha256 of the concatenated JSON exports of every graph of S_1..S_5, in
+# all_permutations order; pins vertex order, edge labels and ranks.
+EXPORT_DIGESTS = {
+    "words": "67b4620f15105540b92a8eebbada3150601c8724015432cfe42cd9fcf6537faf",
+    "tableaux": "d75f3378c56c8a468f7e56ff211043929637b053ef7193a6bb20521b557d3c23",
+}
+
+
+@pytest.mark.parametrize("model", sorted(EXPORT_DIGESTS))
+def test_exports_are_byte_identical(model):
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            digest.update(to_json(build_graph(w, model)).encode())
+    assert digest.hexdigest() == EXPORT_DIGESTS[model]
 
 
 def test_identity_graph():

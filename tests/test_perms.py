@@ -13,6 +13,8 @@ def test_rejects_non_bijections():
     with pytest.raises(ValueError):
         Permutation([1, 1, 2])
     with pytest.raises(ValueError):
+        Permutation([1, 1])
+    with pytest.raises(ValueError):
         Permutation([0, 1])
     with pytest.raises(ValueError):
         Permutation([])
@@ -43,12 +45,29 @@ def test_compose():
     p = Permutation([4, 2, 1, 5, 3])
     assert p * Permutation.identity(5) == p
     assert p * p.inverse() == Permutation.identity(5)
+    assert p * (1, 3, 2, 4, 5) == p * Permutation([1, 3, 2, 4, 5])
+    with pytest.raises(ValueError):
+        p * (1, 1, 2, 3, 4)
     # hand evaluation of (p o q)(i) = p(q(i))
     assert Permutation([2, 1, 3, 4, 5]) * Permutation([1, 3, 2, 4, 5]) == Permutation(
         [2, 3, 1, 4, 5]
     )
     with pytest.raises(ValueError):
         p * Permutation([2, 1])
+
+
+def test_derived_permutations_equal_public_ones():
+    p = Permutation([4, 2, 1, 5, 3])
+    derived = [p.swap(2), p.inverse(), p * p, *all_permutations(3)]
+    for q in derived:
+        rebuilt = Permutation(list(q))
+        assert type(q) is Permutation
+        assert q == rebuilt and hash(q) == hash(rebuilt)
+
+
+def test_all_permutations_rejects_empty_rank():
+    with pytest.raises(ValueError):
+        list(all_permutations(0))
 
 
 def test_inverse():

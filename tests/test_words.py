@@ -170,6 +170,36 @@ def test_pairing_rejects_bad_input():
         pairing_permutation(Word())
     with pytest.raises(ValueError):
         pairing_permutation(Word([1, 1]))
+    for bad in (Word([1, 2, 1, 2]), (1, 2, 1, 2)):
+        with pytest.raises(ValueError, match="not reduced"):
+            pairing_permutation(bad)
+        with pytest.raises(ValueError, match="not reduced"):
+            word_inversions(bad)
+    with pytest.raises(ValueError):
+        word_inversions((0, 1))
+
+
+def test_derived_words_equal_public_ones():
+    w = Permutation([4, 2, 1, 5, 3])
+    derived = [
+        commutation_move(Word([4, 2, 1, 2, 3]), 4),
+        braid_move(Word([4, 2, 1, 2, 3]), 3),
+        RHO.reverse(),
+        super_word(w),
+        *run_decomposition(RHO),
+        *enumerate_reduced_words(w),
+    ]
+    for word in derived:
+        rebuilt = Word(list(word))
+        assert type(word) is Word
+        assert word == rebuilt and hash(word) == hash(rebuilt)
+    assert commutation_move(RHO, 2) is RHO
+    assert braid_move(RHO, 2) is RHO
+
+
+def test_enumeration_deeper_than_the_recursion_limit():
+    w = Permutation(list(range(2, 1202)) + [1])
+    assert enumerate_reduced_words(w) == [Word(range(1200, 0, -1))]
 
 
 def test_word_inversions_reference_example():
@@ -258,6 +288,8 @@ def test_word_text_round_trip():
         Word.from_text("1,x")
     with pytest.raises(ValueError):
         Word([0, 1])
+    with pytest.raises(ValueError):
+        Word([0])
 
 
 @given(perm_strategy)
