@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Sequence
 
 from .diagrams import Filling, permutation_of_diagram, rothe_diagram, super_tableau
 from .perms import Permutation
@@ -145,36 +146,36 @@ def tableau_to_word(f: Filling) -> Word:
     return word
 
 
-def _match_by_permutation(
-    w: Permutation,
-) -> tuple[list[Word], list[Filling], dict[Word, Filling] | None]:
-    """Pair R(w) with the balanced tableaux by permutation; the map is None
-    when matching is not a bijection."""
-    words = enumerate_reduced_words(w)
-    tableaux = enumerate_sbt(w)
+def match_by_permutation(
+    words: Sequence[Word], tableaux: Sequence[Filling]
+) -> dict[Word, Filling] | None:
+    """Pair the words with the tableaux that have the same permutation;
+    None when that pairing is not a bijection between the two lists."""
     if len(words) == 1 and len(words[0]) == 0:
-        return words, tableaux, {words[0]: tableaux[0]} if len(tableaux) == 1 else None
+        return {words[0]: tableaux[0]} if len(tableaux) == 1 else None
     by_perm: dict[Permutation, Filling] = {}
     for t in tableaux:
         p = tab_permutation(t)
         if p in by_perm:
-            return words, tableaux, None
+            return None
         by_perm[p] = t
     mapping: dict[Word, Filling] = {}
     for rho in words:
         p = pairing_permutation(rho)
         if p not in by_perm:
-            return words, tableaux, None
+            return None
         mapping[rho] = by_perm.pop(p)
     if by_perm:
-        return words, tableaux, None
-    return words, tableaux, mapping
+        return None
+    return mapping
 
 
 def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
     """Exhaustive checks that matching by permutation is a bijection that
     preserves ranks, move edges, and the flip/reversal square."""
-    words, tableaux, mapping = _match_by_permutation(w)
+    words = enumerate_reduced_words(w)
+    tableaux = enumerate_sbt(w)
+    mapping = match_by_permutation(words, tableaux)
     results = [
         CheckResult(
             "perm_matching_bijection",

@@ -15,11 +15,11 @@ from .bijection import tableau_to_word, word_to_tableau
 from .diagrams import Filling, permutation_of_diagram, rothe_diagram, super_tableau
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
-    bfs_distance,
+    MODELS,
     build_graph,
     diameter,
     export,
-    min_braid_count,
+    shortest_paths,
 )
 from .perms import Permutation
 from .tableaux import (
@@ -131,19 +131,16 @@ def _cmd_inv(args) -> int:
     return 0
 
 
-def _parse_element(text: str, model: str):
-    return Word.from_text(text) if model == "words" else Filling.from_text(text)
-
-
 def _cmd_dist(args) -> int:
     w = Permutation.from_text(args.w)
     g = build_graph(w, args.model, max_vertices=args.budget)
-    a = _parse_element(args.src, args.model)
-    b = _parse_element(args.dst, args.model)
-    payload = {
-        "distance": bfs_distance(g, a, b),
-        "min_braids": min_braid_count(g, a, b),
-    }
+    parse = MODELS[args.model].from_text
+    a, b = parse(args.src), parse(args.dst)
+    dist, braids = shortest_paths(g, a)
+    ib = g.index_of(b)
+    if dist[ib] < 0:
+        raise ValueError("vertices are not connected")
+    payload = {"distance": dist[ib], "min_braids": braids[ib]}
     lines = [f"{key}: {value}" for key, value in payload.items()]
     _emit(payload, lines, args.json)
     return 0
@@ -232,12 +229,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", parents=[common], help="list R(w) or the balanced tableaux of w")
     p.add_argument("-w", required=True, help="permutation, e.g. 4,2,1,5,3")
-    p.add_argument("--model", choices=("words", "tableaux"), default="words")
+    p.add_argument("--model", choices=tuple(MODELS), default="words")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("super", parents=[common], help="the super-Yamanouchi word or tableau")
     p.add_argument("-w", required=True)
-    p.add_argument("--model", choices=("words", "tableaux"), default="words")
+    p.add_argument("--model", choices=tuple(MODELS), default="words")
     p.set_defaults(func=_cmd_super)
 
     p = sub.add_parser("inv", parents=[common], help="inversion number, permutation, Yang-Baxter count")
@@ -248,7 +245,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dist", parents=[common], help="BFS distance and minimum braid count")
     p.add_argument("-w", required=True)
-    p.add_argument("--model", choices=("words", "tableaux"), default="words")
+    p.add_argument("--model", choices=tuple(MODELS), default="words")
     p.add_argument("--from", dest="src", required=True, help="start element text form")
     p.add_argument("--to", dest="dst", required=True, help="end element text form")
     p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
@@ -283,7 +280,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("graph", parents=[common], help="export the move graph")
     p.add_argument("-w", required=True)
-    p.add_argument("--model", choices=("words", "tableaux"), default="words")
+    p.add_argument("--model", choices=tuple(MODELS), default="words")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("-o", "--output")
     p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)

@@ -1,6 +1,6 @@
 """Move graphs on reduced words or balanced tableaux: construction, BFS
-distances, braid-count minimization over shortest paths, diameter, ranked
-poset validation, and DOT/JSON export.
+distances, single-source shortest paths with their fewest braids, diameter,
+ranked poset validation, and DOT/JSON export.
 
 Vertices are deduplicated and ordered by their canonical text forms, never
 by structural hashing.
@@ -20,6 +20,9 @@ from .tableaux import _iter_sbt, psi, tab_inversions
 from .words import Word, iter_reduced_words, super_word, word_inversions
 
 Vertex = Word | Filling
+
+# The element type of each model, keyed by the model name.
+MODELS = {"words": Word, "tableaux": Filling}
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
@@ -91,7 +94,7 @@ def build_graph(
     right-to-left index (words) or entry value (tableaux) of the move, so
     the two models are comparable under the matching bijection.
     """
-    if model not in ("words", "tableaux"):
+    if model not in MODELS:
         raise ValueError(f"unknown model: {model!r}")
     vertices: list[Vertex] = []
     source = iter_reduced_words(w) if model == "words" else _iter_sbt(w)
@@ -147,23 +150,33 @@ def bfs_distance(g: MoveGraph, a: Vertex, b: Vertex) -> int:
     return dist[ib]
 
 
+def shortest_paths(g: MoveGraph, source: Vertex) -> tuple[list[int], list[int]]:
+    """Distances from ``source`` and the fewest braid edges over the
+    shortest paths from it, both indexed like ``g.vertices``; an unreached
+    vertex reads -1 in both.
+
+    One BFS, then one pass in order of distance: a vertex's braid count is
+    the least over its neighbours one step closer to the source.
+    """
+    dist = _bfs(g, g.index_of(source))
+    braids = [0 if d == 0 else -1 for d in dist]
+    for v in sorted(range(len(dist)), key=dist.__getitem__):
+        if dist[v] > 0:
+            braids[v] = min(
+                braids[u] + braid
+                for u, braid in g.neighbors(v)
+                if dist[u] == dist[v] - 1
+            )
+    return dist, braids
+
+
 def min_braid_count(g: MoveGraph, a: Vertex, b: Vertex) -> int:
     """Minimum number of braid-labeled edges over all shortest paths."""
-    ia, ib = g.index_of(a), g.index_of(b)
-    dist = _bfs(g, ia)
+    dist, braids = shortest_paths(g, a)
+    ib = g.index_of(b)
     if dist[ib] < 0:
         raise ValueError("vertices are not connected")
-    order = sorted(range(len(g.vertices)), key=lambda v: dist[v])
-    best = [0] * len(g.vertices)
-    for v in order:
-        if v == ia or dist[v] < 0:
-            continue
-        best[v] = min(
-            best[u] + (1 if braid else 0)
-            for u, braid in g.neighbors(v)
-            if dist[u] == dist[v] - 1
-        )
-    return best[ib]
+    return braids[ib]
 
 
 def is_connected(g: MoveGraph) -> bool:
@@ -301,8 +314,10 @@ def graph_from_json(text: str) -> MoveGraph:
     """Rebuild a graph from its JSON export."""
     payload = json.loads(text)
     model = payload["model"]
+    if model not in MODELS:
+        raise ValueError(f"unknown model: {model!r}")
     w = Permutation.from_text(payload["w"])
-    parse = Word.from_text if model == "words" else Filling.from_text
+    parse = MODELS[model].from_text
     records = sorted(payload["vertices"], key=lambda rec: rec["id"])
     vertices = [parse(rec["elem"]) for rec in records]
     ranks = [rec["rank"] for rec in records]

@@ -51,47 +51,51 @@ def is_balanced(f: Filling) -> bool:
 def _iter_sbt(w: Permutation) -> Iterator[Filling]:
     """Backtracking enumeration of the balanced fillings of the diagram of w.
 
-    Values are placed in increasing order, so at each placement the balance
-    of the new cell is already final: every empty cell to its right will
-    receive a greater entry and every filled cell above is smaller exactly
-    when filled.  The placement is kept iff the count of filled cells above
-    equals the count of empty cells to the right.
+    Values are placed in increasing order, so a cell's balance is final once
+    it is filled: it is kept iff its ``need``, empty cells to its right
+    minus filled cells above it, is 0.  Filling a cell lowers, for good, the
+    need of the cells left of it in its row and below it in its column, so
+    it is also skipped while one of those is empty with need 0.  The stack
+    of filled cells is explicit, so no recursion limit applies.
     """
-    d = rothe_diagram(w)
-    cells = d.cells
+    cells = rothe_diagram(w).cells
     ell = len(cells)
-    if ell == 0:
-        yield Filling({})
-        return
-    index = {cell: k for k, cell in enumerate(cells)}
-    above = [
-        [index[(r2, c)] for (r2, c2) in cells if c2 == c and r2 > r]
-        for (r, c) in cells
+    # lowered[k]: the cells whose need falls by one when cell k is filled.
+    # Cells are in row-major order, so these are the earlier cells sharing
+    # k's row or column; nearest first, where a blocking cell usually is.
+    lowered = [
+        [j for j in reversed(range(k)) if cells[j][0] == r or cells[j][1] == c]
+        for k, (r, c) in enumerate(cells)
     ]
-    right = [
-        [index[(r, c2)] for (r2, c2) in cells if r2 == r and c2 > c]
-        for (r, c) in cells
+    need = [
+        sum(1 for (r2, c2) in cells if r2 == r and c2 > c) for (r, c) in cells
     ]
     filled = [0] * ell  # 0 = empty, else the entry value
-
-    def place(value: int) -> Iterator[Filling]:
-        if value > ell:
-            yield Filling(
-                {cell: filled[k] for k, cell in enumerate(cells)}
-            )
-            return
-        for k in range(ell):
-            if filled[k]:
-                continue
-            filled_above = sum(1 for a in above[k] if filled[a])
-            empty_right = sum(1 for rr in right[k] if not filled[rr])
-            if filled_above != empty_right:
-                continue
-            filled[k] = value
-            yield from place(value + 1)
+    path: list[int] = []  # the cell holding each value placed so far
+    k = 0  # the next cell to try for value len(path) + 1
+    while True:
+        if len(path) == ell:
+            yield Filling({cell: filled[i] for i, cell in enumerate(cells)})
+        while k < ell and (
+            filled[k]
+            or need[k]
+            or any(need[j] == 0 and not filled[j] for j in lowered[k])
+        ):
+            k += 1
+        if k < ell:
+            path.append(k)
+            filled[k] = len(path)
+            for j in lowered[k]:
+                need[j] -= 1
+            k = 0
+        elif path:
+            k = path.pop()
             filled[k] = 0
-
-    yield from place(1)
+            for j in lowered[k]:
+                need[j] += 1
+            k += 1
+        else:
+            return
 
 
 def enumerate_sbt(w: Permutation) -> list[Filling]:

@@ -4,12 +4,21 @@ Each check sweeps every permutation of the given rank (or the longest one,
 for the staircase checks) and records the first counterexample.  All-pairs
 checks that grow quadratically in the word count are gated to rank 4 and
 reported as skipped above it.
+
+Two rules keep a run linear in the size of the move graphs:
+
+- each (w, model) is enumerated once, as the vertices of its move graph,
+  built once per run;
+- a question asked of every vertex (its distance to the super element, or
+  the fewest braids on a shortest path there) is answered by one
+  ``graphs.shortest_paths`` pass from the super element, not by one search
+  per vertex.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import combinations
 
 from . import bijection, diagrams, graphs, tableaux, words
 from .perms import Permutation, all_permutations
@@ -34,31 +43,6 @@ def staircase_tableau_count(n: int) -> int:
     return math.factorial(boxes) // hooks
 
 
-class _Cache:
-    """Per-run memo of the expensive enumerations."""
-
-    def __init__(self) -> None:
-        self.words: dict[Permutation, list[words.Word]] = {}
-        self.tableaux: dict[Permutation, list[diagrams.Filling]] = {}
-        self.graph: dict[tuple[Permutation, str], graphs.MoveGraph] = {}
-
-    def words_of(self, w: Permutation) -> list[words.Word]:
-        if w not in self.words:
-            self.words[w] = words.enumerate_reduced_words(w)
-        return self.words[w]
-
-    def tableaux_of(self, w: Permutation) -> list[diagrams.Filling]:
-        if w not in self.tableaux:
-            self.tableaux[w] = tableaux.enumerate_sbt(w)
-        return self.tableaux[w]
-
-    def graph_of(self, w: Permutation, model: str) -> graphs.MoveGraph:
-        key = (w, model)
-        if key not in self.graph:
-            self.graph[key] = graphs.build_graph(w, model)
-        return self.graph[key]
-
-
 def _sweep(n: int, predicate) -> str | None:
     """First counterexample over S_n, or None."""
     for w in all_permutations(n):
@@ -72,7 +56,7 @@ def run_suite(n: int) -> list[CheckResult]:
     """Run every brute-force check over S_n and report one line each."""
     if n < 1:
         raise ValueError("rank must be positive")
-    cache = _Cache()
+    graph_of = functools.cache(graphs.build_graph)
     results: list[CheckResult] = []
 
     def check(name: str, detail: str | None) -> None:
@@ -109,7 +93,7 @@ def run_suite(n: int) -> list[CheckResult]:
             return f"w={w}: super word not reduced"
         if words.word_to_permutation(pi, n) != w:
             return f"w={w}: super word is for the wrong permutation"
-        supers = [r for r in cache.words_of(w) if words.is_super_yamanouchi(r)]
+        supers = [r for r in graph_of(w, "words").vertices if words.is_super_yamanouchi(r)]
         if supers != [pi]:
             return f"w={w}: super words {supers}"
         return None
@@ -117,7 +101,7 @@ def run_suite(n: int) -> list[CheckResult]:
     check("word_super_exists_unique", _sweep(n, super_unique))
 
     def moves_closed(w: Permutation) -> str | None:
-        for rho in cache.words_of(w):
+        for rho in graph_of(w, "words").vertices:
             ell = len(rho)
             inv = words.word_inversions(rho)
             for move in bijection.moves_for(ell):
@@ -133,10 +117,10 @@ def run_suite(n: int) -> list[CheckResult]:
     check("word_moves_involutive_rank_step", _sweep(n, moves_closed))
 
     def inv_is_distance(w: Permutation) -> str | None:
-        g = cache.graph_of(w, "words")
-        pi = words.super_word(w)
-        for rho in g.vertices:
-            if graphs.bfs_distance(g, rho, pi) != words.word_inversions(rho):
+        g = graph_of(w, "words")
+        dist, _ = graphs.shortest_paths(g, words.super_word(w))
+        for rho, d in zip(g.vertices, dist):
+            if d != words.word_inversions(rho):
                 return f"w={w} rho={rho}"
         return None
 
@@ -144,7 +128,7 @@ def run_suite(n: int) -> list[CheckResult]:
 
     def pairing_identity(w: Permutation) -> str | None:
         pi = words.super_word(w)
-        for rho in cache.words_of(w):
+        for rho in graph_of(w, "words").vertices:
             if not rho:
                 continue
             ident = words.pairing_permutation(rho) == Permutation.identity(len(rho))
@@ -156,8 +140,8 @@ def run_suite(n: int) -> list[CheckResult]:
 
     def reversal(w: Permutation) -> str | None:
         winv = w.inverse()
-        expected = set(cache.words_of(winv))
-        for rho in cache.words_of(w):
+        expected = set(graph_of(winv, "words").vertices)
+        for rho in graph_of(w, "words").vertices:
             if rho.reverse() not in expected:
                 return f"w={w} rho={rho}"
         return None
@@ -166,7 +150,7 @@ def run_suite(n: int) -> list[CheckResult]:
 
     def naive_against_super(w: Permutation) -> str | None:
         pi = words.super_word(w)
-        for rho in cache.words_of(w):
+        for rho in graph_of(w, "words").vertices:
             if not rho:
                 continue
             if words.naive_pair_inversions(rho, pi) != words.word_inversions(rho):
@@ -176,12 +160,11 @@ def run_suite(n: int) -> list[CheckResult]:
     check("naive_metric_agrees_at_super", _sweep(n, naive_against_super))
 
     def yang_baxter_to_super(w: Permutation) -> str | None:
-        g = cache.graph_of(w, "words")
+        g = graph_of(w, "words")
         pi = words.super_word(w)
-        for rho in g.vertices:
-            if not rho:
-                continue
-            if words.yang_baxter_count(rho, pi) != graphs.min_braid_count(g, rho, pi):
+        _, braids = graphs.shortest_paths(g, pi)
+        for rho, b in zip(g.vertices, braids):
+            if rho and words.yang_baxter_count(rho, pi) != b:
                 return f"w={w} rho={rho}"
         return None
 
@@ -194,15 +177,14 @@ def run_suite(n: int) -> list[CheckResult]:
         agree = 0
         differ = 0
         for w in all_permutations(n):
-            g = cache.graph_of(w, "words")
-            for rho, sigma in combinations(g.vertices, 2):
-                if not rho:
-                    continue
-                claimed = words.yang_baxter_count(rho, sigma)
-                if claimed == graphs.min_braid_count(g, rho, sigma):
-                    agree += 1
-                else:
-                    differ += 1
+            g = graph_of(w, "words")
+            for k, rho in enumerate(g.vertices[:-1]):
+                _, braids = graphs.shortest_paths(g, rho)
+                for sigma, b in zip(g.vertices[k + 1 :], braids[k + 1 :]):
+                    if words.yang_baxter_count(rho, sigma) == b:
+                        agree += 1
+                    else:
+                        differ += 1
         detail = (
             f"formula matches the shortest-path braid count on {agree} of "
             f"{agree + differ} pairs; {differ} arbitrary pairs differ "
@@ -256,7 +238,7 @@ def run_suite(n: int) -> list[CheckResult]:
     check("tableau_super_balanced_rank_zero", _sweep(n, super_tab))
 
     def tab_moves(w: Permutation) -> str | None:
-        for t in cache.tableaux_of(w):
+        for t in graph_of(w, "tableaux").vertices:
             inv = tableaux.tab_inversions(t)
             for move in bijection.moves_for(len(t)):
                 out = move.on_tableau(t)
@@ -271,7 +253,7 @@ def run_suite(n: int) -> list[CheckResult]:
     check("tableau_moves_balanced_involutive", _sweep(n, tab_moves))
 
     def tab_inv_formula(w: Permutation) -> str | None:
-        for t in cache.tableaux_of(w):
+        for t in graph_of(w, "tableaux").vertices:
             if not len(t):
                 continue
             lhs = tableaux.tab_inversions(t)
@@ -283,12 +265,12 @@ def run_suite(n: int) -> list[CheckResult]:
     check("tableau_inversion_identity", _sweep(n, tab_inv_formula))
 
     def tab_inv_distance(w: Permutation) -> str | None:
-        g = cache.graph_of(w, "tableaux")
-        top = diagrams.super_tableau(w)
-        for t in g.vertices:
-            if graphs.bfs_distance(g, t, top) != tableaux.tab_inversions(t):
+        g = graph_of(w, "tableaux")
+        dist, braids = graphs.shortest_paths(g, diagrams.super_tableau(w))
+        for t, d, b in zip(g.vertices, dist, braids):
+            if d != tableaux.tab_inversions(t):
                 return f"w={w} tableau={t.to_text()}"
-            if graphs.min_braid_count(g, t, top) != tableaux.column_inversions(t):
+            if b != tableaux.column_inversions(t):
                 return f"w={w} tableau={t.to_text()}: braid count"
         return None
 
@@ -296,7 +278,7 @@ def run_suite(n: int) -> list[CheckResult]:
 
     def reconstruct(w: Permutation) -> str | None:
         d = diagrams.rothe_diagram(w)
-        for t in cache.tableaux_of(w):
+        for t in graph_of(w, "tableaux").vertices:
             rows = t.rows()
             contents = [[e for _, e in rows[r]] for r in sorted(rows)]
             if tableaux.reconstruct_from_row_multisets(d, contents) != t:
@@ -306,7 +288,7 @@ def run_suite(n: int) -> list[CheckResult]:
     check("tableau_row_sort_reconstruction", _sweep(n, reconstruct))
 
     def descent_lengths(w: Permutation) -> str | None:
-        for t in cache.tableaux_of(w):
+        for t in graph_of(w, "tableaux").vertices:
             seq = bijection.descent_to_super(t)
             if len(seq) != tableaux.tab_inversions(t):
                 return f"w={w} tableau={t.to_text()}: length"
@@ -319,8 +301,8 @@ def run_suite(n: int) -> list[CheckResult]:
 
     def flip_props(w: Permutation) -> str | None:
         winv = w.inverse()
-        target = set(cache.tableaux_of(winv))
-        for t in cache.tableaux_of(w):
+        target = set(graph_of(winv, "tableaux").vertices)
+        for t in graph_of(w, "tableaux").vertices:
             image = tableaux.flip(t)
             if image not in target:
                 return f"w={w} tableau={t.to_text()}: image not balanced for inverse"
@@ -342,15 +324,12 @@ def run_suite(n: int) -> list[CheckResult]:
     check("tableau_flip_involution_intertwines", _sweep(n, flip_props))
 
     # --- counts and the bijection ---------------------------------------------
-    check(
-        "word_and_tableau_counts_agree",
-        _sweep(
-            n,
-            lambda w: None
-            if len(cache.words_of(w)) == len(cache.tableaux_of(w))
-            else f"w={w}: {len(cache.words_of(w))} vs {len(cache.tableaux_of(w))}",
-        ),
-    )
+    def counts_agree(w: Permutation) -> str | None:
+        n_words = len(graph_of(w, "words").vertices)
+        n_tableaux = len(graph_of(w, "tableaux").vertices)
+        return None if n_words == n_tableaux else f"w={w}: {n_words} vs {n_tableaux}"
+
+    check("word_and_tableau_counts_agree", _sweep(n, counts_agree))
 
     def isomorphism(w: Permutation) -> str | None:
         for res in bijection.verify_poset_isomorphism(w):
@@ -363,7 +342,7 @@ def run_suite(n: int) -> list[CheckResult]:
     # --- graphs ------------------------------------------------------------------
     def graph_checks(w: Permutation) -> str | None:
         for model in ("words", "tableaux"):
-            g = cache.graph_of(w, model)
+            g = graph_of(w, model)
             if not graphs.is_connected(g):
                 return f"w={w} {model}: disconnected"
             for res in graphs.validate_ranked_poset(g):
@@ -374,9 +353,9 @@ def run_suite(n: int) -> list[CheckResult]:
     check("graph_connected_ranked", _sweep(n, graph_checks))
 
     def graphs_isomorphic(w: Permutation) -> str | None:
-        gw = cache.graph_of(w, "words")
-        gt = cache.graph_of(w, "tableaux")
-        _, _, mapping = bijection._match_by_permutation(w)
+        gw = graph_of(w, "words")
+        gt = graph_of(w, "tableaux")
+        mapping = bijection.match_by_permutation(gw.vertices, gt.vertices)
         if mapping is None:
             return f"w={w}: no bijection"
         to_tab = {
@@ -396,13 +375,13 @@ def run_suite(n: int) -> list[CheckResult]:
     check("graph_models_isomorphic", _sweep(n, graphs_isomorphic))
 
     # --- longest permutation -----------------------------------------------------
-    g0 = cache.graph_of(longest, "tableaux")
+    g0 = graph_of(longest, "tableaux")
     top = diagrams.super_tableau(longest)
     bottom = tableaux.psi(top) if len(top) else top
     expected = tableaux.min_inv_w0(n)
 
     psi_fail = None
-    for t in cache.tableaux_of(longest):
+    for t in g0.vertices:
         if not len(t):
             continue
         image = tableaux.psi(t)
@@ -414,30 +393,31 @@ def run_suite(n: int) -> list[CheckResult]:
             break
     check("w0_complement_reverses_rank", psi_fail)
 
+    dtop, _ = graphs.shortest_paths(g0, top)
+    dbot, _ = graphs.shortest_paths(g0, bottom)
+    span = dtop[g0.index_of(bottom)]
+
     diam_detail = None
     diam = graphs.diameter(g0)
     if diam != expected:
         diam_detail = f"diameter {diam} != {expected}"
-    elif len(top) and graphs.bfs_distance(g0, top, bottom) != expected:
+    elif span != expected:
         diam_detail = "extremes do not attain the diameter"
     check("w0_diameter_formula", diam_detail)
 
     dist_split = None
-    if len(top):
-        itop, ibot = g0.index_of(top), g0.index_of(bottom)
-        dtop = graphs._bfs(g0, itop)
-        dbot = graphs._bfs(g0, ibot)
-        for k in range(len(g0.vertices)):
-            if dtop[k] + dbot[k] != dtop[ibot]:
-                dist_split = f"vertex {k}"
-                break
+    for k in range(len(g0.vertices)):
+        if dtop[k] + dbot[k] != span:
+            dist_split = f"vertex {k}"
+            break
     check("w0_distances_split_through_extremes", dist_split)
 
+    n_w0 = len(graph_of(longest, "words").vertices)
     check(
         "w0_count_matches_hook_formula",
         None
-        if len(cache.words_of(longest)) == staircase_tableau_count(n)
-        else f"{len(cache.words_of(longest))} != {staircase_tableau_count(n)}",
+        if n_w0 == staircase_tableau_count(n)
+        else f"{n_w0} != {staircase_tableau_count(n)}",
     )
 
     return results

@@ -8,6 +8,7 @@ from redwords import (
     column_inversions,
     descent_to_super,
     enumerate_reduced_words,
+    enumerate_sbt,
     super_tableau,
     super_word,
     tab_inversions,
@@ -15,6 +16,8 @@ from redwords import (
     verify_poset_isomorphism,
     word_to_tableau,
 )
+
+from redwords.bijection import match_by_permutation
 
 from conftest import (
     EDGE_GRID_4321,
@@ -105,3 +108,15 @@ def test_verify_poset_isomorphism():
             "flip_matches_reversal",
         }
         assert all(r.passed for r in results)
+
+
+def test_match_by_permutation_of_given_lists():
+    w = Permutation([4, 3, 2, 1])
+    words, tableaux = enumerate_reduced_words(w), enumerate_sbt(w)
+    mapping = match_by_permutation(words, tableaux)
+    assert mapping == {rho: word_to_tableau(rho) for rho in words}
+    assert match_by_permutation(words[:-1], tableaux) is None
+    assert match_by_permutation(words, tableaux[:-1]) is None
+    assert match_by_permutation(words, tableaux[:1] * len(tableaux)) is None
+    assert match_by_permutation([Word()], [Filling({})]) == {Word(): Filling({})}
+    assert match_by_permutation([Word()], []) is None

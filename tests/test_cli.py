@@ -271,3 +271,10 @@ def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing -w
     assert exc.value.code == 1
+
+
+def test_enumerate_deep_input_tableaux(capsys):
+    w = ",".join(map(str, [*range(2, 1202), 1]))
+    code, out, _ = run_cli(capsys, "enumerate", "-w", w, "--model", "tableaux")
+    assert code == 0
+    assert out.splitlines() == [";".join(f"{r},1,{r}" for r in range(1, 1201))]

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -17,6 +17,7 @@ from redwords import (
     is_connected,
     min_braid_count,
     min_inv_w0,
+    shortest_paths,
     super_tableau,
     super_word,
     to_dot,
@@ -194,3 +195,48 @@ def test_json_round_trip():
         assert graph_from_json(text) == g
     with pytest.raises(ValueError):
         export(g, "gexf")
+
+
+def _geodesic_braids(g, source):
+    """Fewest braid edges on each shortest path from source, by listing
+    every such path explicitly, one distance layer at a time."""
+    dist = {v: bfs_distance(g, source, v) for v in g.vertices}
+    adjacent = defaultdict(list)
+    for u, v, label in g.edges:
+        a, b = g.vertices[u], g.vertices[v]
+        adjacent[a].append((b, label.startswith("b")))
+        adjacent[b].append((a, label.startswith("b")))
+    paths = [(source, 0)]  # (end vertex, braids on the path)
+    best = {source: 0}
+    while paths:
+        paths = [
+            (nxt, braids + braid)
+            for end, braids in paths
+            for nxt, braid in adjacent[end]
+            if dist[nxt] == dist[end] + 1
+        ]
+        for end, braids in paths:
+            best[end] = min(best.get(end, braids), braids)
+    return [dist[v] for v in g.vertices], [best[v] for v in g.vertices]
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_shortest_paths_match_brute_force_over_s4(model):
+    for w in all_permutations(4):
+        g = build_graph(w, model)
+        for source in g.vertices:
+            assert shortest_paths(g, source) == _geodesic_braids(g, source)
+
+
+def test_shortest_paths_rejects_foreign_vertex():
+    g = build_graph(Permutation([4, 3, 2, 1]), "words")
+    with pytest.raises(ValueError):
+        shortest_paths(g, Word([9, 9]))
+
+
+def test_graph_from_json_rejects_unknown_model():
+    g = build_graph(Permutation([2, 1]), "tableaux")
+    payload = json.loads(to_json(g))
+    payload["model"] = "chains"
+    with pytest.raises(ValueError):
+        graph_from_json(json.dumps(payload))

@@ -290,3 +290,16 @@ def test_counts_match_words():
 
     for w in all_permutations(4):
         assert len(enumerate_sbt(w)) == len(enumerate_reduced_words(w))
+
+
+def test_enumerate_sbt_matches_brute_force_over_s4():
+    for w in all_permutations(4):
+        cells = rothe_diagram(w).cells
+        brute = {
+            f
+            for values in itertools_permutations(range(1, len(cells) + 1))
+            if is_balanced(f := Filling(dict(zip(cells, values))))
+        }
+        found = enumerate_sbt(w)
+        assert len(found) == len(brute)
+        assert set(found) == brute
