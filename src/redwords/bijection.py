@@ -18,6 +18,7 @@ from .diagrams import Filling, permutation_of_diagram, rothe_diagram, super_tabl
 from .perms import Permutation
 from .report import CheckResult
 from .tableaux import (
+    _braidable,
     enumerate_sbt,
     flip,
     is_balanced,
@@ -79,28 +80,35 @@ def descent_to_super(f: Filling) -> list[Move]:
     While some pair (i, i+1) has i strictly above i+1: if any such pair sits
     in different columns, commute the smallest such i; otherwise braid at
     i+1 for the largest such i.  Each step removes exactly one inversion.
+    Runs on a value -> cell list, where a move swaps two slots.
     """
-    moves: list[Move] = []
-    current = f
     ell = len(f)
+    if ell < 2:
+        return []
+    pos = f.positions()
+    cell_of = [None] + [pos[v] for v in range(1, ell + 1)]
+    table = moves_for(ell)  # c1..c(ell-1), then b2..b(ell-1)
+    moves: list[Move] = []
     while True:
-        pos = current.positions()
-        drops = [
-            i for i in range(1, ell) if pos[i][0] > pos[i + 1][0]
-        ]
-        if not drops:
-            break
-        commutable = [i for i in drops if pos[i][1] != pos[i + 1][1]]
-        if commutable:
-            move = Move("c", min(commutable))
-        else:
-            move = Move("b", max(drops) + 1)
-        advanced = move.on_tableau(current)
-        if advanced == current:
-            raise RuntimeError(f"descent stalled at {current.to_text()}")
-        moves.append(move)
-        current = advanced
-    return moves
+        braid = 0  # i+1 for the largest i seen strictly above i+1
+        for i in range(1, ell):
+            (r1, c1), (r2, c2) = cell_of[i], cell_of[i + 1]
+            if r1 > r2:
+                if c1 != c2:
+                    cell_of[i], cell_of[i + 1] = cell_of[i + 1], cell_of[i]
+                    moves.append(table[i - 1])
+                    break
+                braid = i + 1
+        else:  # nothing to commute
+            if not braid:
+                return moves
+            if braid == ell:  # tab_braid's range check
+                raise ValueError(f"entry {ell} out of range 2..{ell - 1}")
+            if not _braidable(*cell_of[braid - 1 : braid + 2]):
+                stalled = Filling((cell_of[v], v) for v in range(1, ell + 1))
+                raise RuntimeError(f"descent stalled at {stalled.to_text()}")
+            cell_of[braid - 1], cell_of[braid + 1] = cell_of[braid + 1], cell_of[braid - 1]
+            moves.append(table[ell + braid - 3])
 
 
 def word_to_tableau(word: Word) -> Filling:

@@ -3,6 +3,14 @@
 Cells live in the first quadrant: ``(row, col)`` with row 1 at the bottom,
 so "above" always means a strictly larger row index.  This is the opposite
 of English Young-tableau habits; every formula here assumes it.
+
+``Diagram(...)``, ``Filling(...)`` and their ``from_text`` validate every
+input.  Values the package derives from valid ones are built unchecked: the
+Rothe diagram with ``object.__new__(Diagram)``, fillings (moves, enumeration,
+flip, complement, super, row-interval and reconstructed fillings) with
+``_filling(cells, entries)``; use that form only where the cells are
+distinct, positive and in row-major order, and the entries positive, by
+construction.
 """
 
 from __future__ import annotations
@@ -193,27 +201,30 @@ class Filling:
         return "\n".join(lines)
 
 
+def _filling(cells: tuple[Cell, ...], entries: tuple[int, ...]) -> Filling:
+    """A filling built without the checks of ``Filling(...)``."""
+    f = object.__new__(Filling)
+    f.cells, f.entries = cells, entries
+    return f
+
+
 def rothe_diagram(w: Permutation) -> Diagram:
     """Cells (i, w(j)) over the inversion pairs i < j with w(i) > w(j).
 
     >>> rothe_diagram(Permutation([4, 2, 1, 5, 3])).cells
     ((1, 1), (1, 2), (1, 3), (2, 1), (4, 3))
     """
-    return Diagram(
-        (i, w(j))
-        for i in range(1, w.n + 1)
-        for j in range(i + 1, w.n + 1)
-        if w(i) > w(j)
-    )
+    n = len(w)
+    cells = sorted((i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    d = object.__new__(Diagram)  # the cells are distinct and positive
+    d.cells = tuple(cells)
+    return d
 
 
 def row_interval_filling(d: Diagram) -> Filling:
     """Fill row r with r, r+1, r+2, ... from left to right."""
-    entry_map = {}
-    for r, cols in d.rows().items():
-        for offset, c in enumerate(cols):
-            entry_map[(r, c)] = r + offset
-    return Filling(entry_map)
+    rows = d.rows().items()  # in the row-major order of d.cells
+    return _filling(d.cells, tuple(r + k for r, cols in rows for k in range(len(cols))))
 
 
 def is_rothe_diagram(d: Diagram | Iterable[Cell]) -> bool:
@@ -252,14 +263,10 @@ def super_tableau(w: Permutation) -> Filling:
     balanced.
     """
     d = rothe_diagram(w)
-    entry_map = {}
-    counter = 0
-    rows = d.rows()
-    for r in sorted(rows):
-        for c in reversed(rows[r]):
-            counter += 1
-            entry_map[(r, c)] = counter
-    return Filling(entry_map)
+    entries: list[int] = []
+    for cols in d.rows().values():  # bottom row first, each left to right
+        entries.extend(range(len(entries) + len(cols), len(entries), -1))
+    return _filling(d.cells, tuple(entries))
 
 
 def permutation_of_diagram(d: Diagram) -> Permutation:

@@ -16,6 +16,7 @@ from .diagrams import (
     Cell,
     Diagram,
     Filling,
+    _filling,
     permutation_of_diagram,
     rothe_diagram,
     super_tableau,
@@ -75,7 +76,7 @@ def _iter_sbt(w: Permutation) -> Iterator[Filling]:
     k = 0  # the next cell to try for value len(path) + 1
     while True:
         if len(path) == ell:
-            yield Filling({cell: filled[i] for i, cell in enumerate(cells)})
+            yield _filling(cells, tuple(filled))
         while k < ell and (
             filled[k]
             or need[k]
@@ -110,13 +111,22 @@ def tab_commutation(f: Filling, i: int) -> Filling:
     ell = len(f)
     if not 1 <= i < ell:
         raise ValueError(f"entry {i} out of range 1..{ell - 1}")
-    pos = f.positions()
-    (r1, c1), (r2, c2) = pos[i], pos[i + 1]
+    a, b = f.entries.index(i), f.entries.index(i + 1)
+    (r1, c1), (r2, c2) = f.cells[a], f.cells[b]
     if r1 == r2 or c1 == c2:
         return f
-    swapped = dict(f.items())
-    swapped[(r1, c1)], swapped[(r2, c2)] = i + 1, i
-    return Filling(swapped)
+    swapped = list(f.entries)
+    swapped[a], swapped[b] = i + 1, i
+    return _filling(f.cells, tuple(swapped))
+
+
+def _braidable(lo: Cell, mid: Cell, hi: Cell) -> bool:
+    """The braid condition on the cells of entries i-1, i, i+1: one of lo
+    and hi sits above mid in its column, the other right of it in its row."""
+    r, c = mid
+    return (lo[1] == c and lo[0] > r and hi[0] == r and hi[1] > c) or (
+        hi[1] == c and hi[0] > r and lo[0] == r and lo[1] > c
+    )
 
 
 def tab_braid(f: Filling, i: int) -> Filling:
@@ -125,19 +135,11 @@ def tab_braid(f: Filling, i: int) -> Filling:
     ell = len(f)
     if not 1 < i < ell:
         raise ValueError(f"entry {i} out of range 2..{ell - 1}")
-    pos = f.positions()
-    lo, mid, hi = pos[i - 1], pos[i], pos[i + 1]
-
-    def above(x: Cell) -> bool:
-        return x[1] == mid[1] and x[0] > mid[0]
-
-    def right_of(x: Cell) -> bool:
-        return x[0] == mid[0] and x[1] > mid[1]
-
-    if (above(lo) and right_of(hi)) or (above(hi) and right_of(lo)):
-        swapped = dict(f.items())
-        swapped[lo], swapped[hi] = i + 1, i - 1
-        return Filling(swapped)
+    a, m, b = (f.entries.index(v) for v in (i - 1, i, i + 1))
+    if _braidable(f.cells[a], f.cells[m], f.cells[b]):
+        swapped = list(f.entries)
+        swapped[a], swapped[b] = i + 1, i - 1
+        return _filling(f.cells, tuple(swapped))
     return f
 
 
@@ -250,15 +252,23 @@ def reconstruct_from_row_multisets(
             if placed is None:
                 return None
             entry_map[(r, c)] = remaining.pop(placed)
-    return Filling(entry_map)
+    return _filling(d.cells, tuple(entry_map[cell] for cell in d.cells))
+
+
+def _complement(f: Filling) -> tuple[int, ...]:
+    """Entries e -> cell-count - e + 1, in cell order."""
+    ell = len(f)
+    if any(e > ell for e in f.entries):
+        raise ValueError(f"entries must lie in 1..{ell} to be complemented")
+    return tuple(ell - e + 1 for e in f.entries)
 
 
 def flip(f: Filling) -> Filling:
     """Transpose and complement: cell (r, c) moves to (c, r) and entry e
     becomes cell-count - e + 1.  Takes balanced tableaux for w to balanced
     tableaux for the inverse of w."""
-    ell = len(f)
-    return Filling({(c, r): ell - e + 1 for (r, c), e in f.items()})
+    items = sorted(zip([(c, r) for r, c in f.cells], _complement(f)))
+    return _filling(tuple(cell for cell, _ in items), tuple(e for _, e in items))
 
 
 def psi(f: Filling) -> Filling:
@@ -271,8 +281,7 @@ def psi(f: Filling) -> Filling:
     w = permutation_of_diagram(f.diagram)
     if w != Permutation.longest(w.n):
         raise ValueError(f"complement applies only to the longest permutation, not {w}")
-    ell = len(f)
-    return Filling({cell: ell - e + 1 for cell, e in f.items()})
+    return _filling(f.cells, _complement(f))
 
 
 def min_inv_w0(n: int) -> int:

@@ -101,16 +101,17 @@ def run_suite(n: int) -> list[CheckResult]:
     check("word_super_exists_unique", _sweep(n, super_unique))
 
     def moves_closed(w: Permutation) -> str | None:
+        pi = words.super_word(w)
         for rho in graph_of(w, "words").vertices:
             ell = len(rho)
-            inv = words.word_inversions(rho)
+            inv = words.word_inversions(rho, _super=pi)
             for move in bijection.moves_for(ell):
                 out = move.on_word(rho)
                 if move.on_word(out) != rho:
                     return f"w={w} rho={rho} {move.label}: not an involution"
                 if words.word_to_permutation(out, n) != w or not words.is_reduced(out, n):
                     return f"w={w} rho={rho} {move.label}: left R(w)"
-                if out != rho and abs(words.word_inversions(out) - inv) != 1:
+                if out != rho and abs(words.word_inversions(out, _super=pi) - inv) != 1:
                     return f"w={w} rho={rho} {move.label}: rank step != 1"
         return None
 
@@ -118,9 +119,10 @@ def run_suite(n: int) -> list[CheckResult]:
 
     def inv_is_distance(w: Permutation) -> str | None:
         g = graph_of(w, "words")
-        dist, _ = graphs.shortest_paths(g, words.super_word(w))
+        pi = words.super_word(w)
+        dist, _ = graphs.shortest_paths(g, pi)
         for rho, d in zip(g.vertices, dist):
-            if d != words.word_inversions(rho):
+            if d != words.word_inversions(rho, _super=pi):
                 return f"w={w} rho={rho}"
         return None
 
@@ -131,7 +133,7 @@ def run_suite(n: int) -> list[CheckResult]:
         for rho in graph_of(w, "words").vertices:
             if not rho:
                 continue
-            ident = words.pairing_permutation(rho) == Permutation.identity(len(rho))
+            ident = words.pairing_permutation(rho, _super=pi) == Permutation.identity(len(rho))
             if ident != (rho == pi):
                 return f"w={w} rho={rho}"
         return None
@@ -153,7 +155,7 @@ def run_suite(n: int) -> list[CheckResult]:
         for rho in graph_of(w, "words").vertices:
             if not rho:
                 continue
-            if words.naive_pair_inversions(rho, pi) != words.word_inversions(rho):
+            if words.naive_pair_inversions(rho, pi) != words.word_inversions(rho, _super=pi):
                 return f"w={w} rho={rho}"
         return None
 

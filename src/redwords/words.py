@@ -282,7 +282,8 @@ def _pair_permutation(rho: Word, sigma: Word) -> Permutation:
         raise ValueError(
             f"words are for different permutations: {w_rho} vs {w_sigma}"
         )
-    return pairing_permutation(sigma) * pairing_permutation(rho).inverse()
+    pi = super_word(w_rho)
+    return pairing_permutation(sigma, _super=pi) * pairing_permutation(rho, _super=pi).inverse()
 
 
 def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) -> int:

@@ -1,7 +1,10 @@
+from itertools import permutations as itertools_permutations
+
 import pytest
 
 from redwords import (
     Filling,
+    Move,
     Permutation,
     Word,
     all_permutations,
@@ -9,6 +12,8 @@ from redwords import (
     descent_to_super,
     enumerate_reduced_words,
     enumerate_sbt,
+    is_balanced,
+    rothe_diagram,
     super_tableau,
     super_word,
     tab_inversions,
@@ -120,3 +125,56 @@ def test_match_by_permutation_of_given_lists():
     assert match_by_permutation(words, tableaux[:1] * len(tableaux)) is None
     assert match_by_permutation([Word()], [Filling({})]) == {Word(): Filling({})}
     assert match_by_permutation([Word()], []) is None
+
+
+def _reference_descent(f):
+    """The descent as a loop of checked fillings and public moves."""
+    moves, current, ell = [], f, len(f)
+    while True:
+        pos = current.positions()
+        drops = [i for i in range(1, ell) if pos[i][0] > pos[i + 1][0]]
+        if not drops:
+            return moves
+        commutable = [i for i in drops if pos[i][1] != pos[i + 1][1]]
+        move = Move("c", min(commutable)) if commutable else Move("b", max(drops) + 1)
+        advanced = move.on_tableau(current)
+        if advanced == current:
+            raise RuntimeError(f"descent stalled at {current.to_text()}")
+        moves.append(move)
+        current = advanced
+
+
+def _outcome(descent, f):
+    try:
+        return [move.label for move in descent(f)]
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_descent_matches_reference_on_every_standard_filling():
+    # unbalanced fillings end in move lists, out-of-range braids or stalls,
+    # and the kernel must end each one exactly as the reference does
+    tally = {list: 0, ValueError: 0, RuntimeError: 0}
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            cells = rothe_diagram(w).cells
+            for values in itertools_permutations(range(1, len(cells) + 1)):
+                f = Filling(zip(cells, values))
+                expected = _outcome(_reference_descent, f)
+                assert _outcome(descent_to_super, f) == expected
+                if not is_balanced(f):
+                    kind = list if isinstance(expected, list) else expected[0]
+                    tally[kind] += 1
+    assert tally == {list: 308, ValueError: 452, RuntimeError: 430}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_descent_replays_through_public_moves(n):
+    for w in all_permutations(n):
+        top = super_tableau(w)
+        for t in enumerate_sbt(w):
+            for move in descent_to_super(t):
+                advanced = move.on_tableau(t)
+                assert advanced != t
+                t = advanced
+            assert t == top

@@ -33,6 +33,20 @@ def test_rothe_diagram_examples():
     assert d8.rows() == {1: [1, 2, 3], 3: [2, 3, 5, 6], 4: [2, 3], 5: [2, 3, 6]}
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rothe_diagram_equals_public_diagram(n):
+    for w in all_permutations(n):
+        d = rothe_diagram(w)
+        public = Diagram(
+            (i, w(j))
+            for i in range(1, n + 1)
+            for j in range(i + 1, n + 1)
+            if w(i) > w(j)
+        )
+        assert type(d) is Diagram
+        assert d == public and hash(d) == hash(public)
+
+
 def test_row_interval_filling():
     f = row_interval_filling(rothe_diagram(W8))
     assert dict(f.items()) == {

@@ -16,12 +16,16 @@ from redwords import (
     reconstruct_from_row_multisets,
     rothe_diagram,
     row_coinversions,
+    row_interval_filling,
     super_tableau,
     tab_braid,
     tab_commutation,
     tab_inversions,
     tab_permutation,
 )
+
+from redwords.bijection import moves_for
+from redwords.tableaux import _iter_sbt
 
 from conftest import (
     EDGE_GRID_4321,
@@ -303,3 +307,29 @@ def test_enumerate_sbt_matches_brute_force_over_s4():
         found = enumerate_sbt(w)
         assert len(found) == len(brute)
         assert set(found) == brute
+
+
+def test_derived_fillings_equal_public_ones():
+    for n in range(1, 5):
+        longest = Permutation.longest(n)
+        for w in all_permutations(n):
+            d = rothe_diagram(w)
+            derived = [super_tableau(w), row_interval_filling(d)]
+            for t in _iter_sbt(w):
+                rows = t.rows()
+                contents = [[e for _, e in rows[r]] for r in sorted(rows)]
+                derived += [t, flip(t), reconstruct_from_row_multisets(d, contents)]
+                derived += [move.on_tableau(t) for move in moves_for(len(t))]
+                if w == longest and len(t):
+                    derived.append(psi(t))
+            for f in derived:
+                assert type(f) is Filling
+                for rebuilt in (Filling(f.items()), Filling.from_text(f.to_text())):
+                    assert f == rebuilt and hash(f) == hash(rebuilt)
+
+
+def test_complements_reject_entries_above_the_cell_count():
+    with pytest.raises(ValueError):
+        flip(Filling({(1, 1): 2}))
+    with pytest.raises(ValueError):
+        psi(Filling({(1, 1): 2}))
