@@ -12,19 +12,19 @@ import sys
 from pathlib import Path
 
 from .bijection import tableau_to_word, word_to_tableau
-from .diagrams import Filling, permutation_of_diagram, rothe_diagram, super_tableau
+from .diagrams import Filling, permutation_of_diagram
 from .graphs import (
     DEFAULT_VERTEX_BUDGET,
     MODELS,
     build_graph,
     diameter,
     export,
+    lookup_model,
     shortest_paths,
 )
 from .perms import Permutation
 from .tableaux import (
     column_inversions,
-    enumerate_sbt,
     flip,
     is_balanced,
     min_inv_w0,
@@ -35,7 +35,6 @@ from .tableaux import (
 from .verify import run_suite
 from .words import (
     Word,
-    enumerate_reduced_words,
     pairing_permutation,
     super_word,
     word_inversions,
@@ -79,10 +78,8 @@ def _tableau_payload(f: Filling) -> tuple[dict, list[str]]:
 
 def _cmd_enumerate(args) -> int:
     w = Permutation.from_text(args.w)
-    if args.model == "words":
-        elements = [str(r) for r in enumerate_reduced_words(w)]
-    else:
-        elements = [t.to_text() for t in enumerate_sbt(w)]
+    m = lookup_model(args.model)
+    elements = [e.to_text() for e in sorted(m.elements(w), key=m.order)]
     payload = {"w": str(w), "model": args.model, "elements": elements}
     _emit(payload, elements, args.json)
     return 0
@@ -90,20 +87,13 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_super(args) -> int:
     w = Permutation.from_text(args.w)
-    if args.model == "words":
-        element = str(super_word(w))
-        _emit({"w": str(w), "model": args.model, "element": element}, [element], args.json)
-    else:
-        t = super_tableau(w)
-        display = t.render()
-        payload = {
-            "w": str(w),
-            "model": args.model,
-            "element": t.to_text(),
-            "display": display,
-        }
-        lines = [t.to_text()] + (display.splitlines() if display else [])
-        _emit(payload, lines, args.json)
+    top = lookup_model(args.model).top(w)
+    payload = {"w": str(w), "model": args.model, "element": top.to_text()}
+    lines = [payload["element"]]
+    if args.model == "tableaux":  # a tableau also gets its picture
+        payload["display"] = top.render()
+        lines += payload["display"].splitlines()
+    _emit(payload, lines, args.json)
     return 0
 
 
@@ -134,7 +124,7 @@ def _cmd_inv(args) -> int:
 def _cmd_dist(args) -> int:
     w = Permutation.from_text(args.w)
     g = build_graph(w, args.model, max_vertices=args.budget)
-    parse = MODELS[args.model].from_text
+    parse = lookup_model(args.model).type.from_text
     a, b = parse(args.src), parse(args.dst)
     dist, braids = shortest_paths(g, a)
     ib = g.index_of(b)
@@ -168,16 +158,9 @@ def _cmd_biject(args) -> int:
     return 0
 
 
-def _cmd_flip(args) -> int:
-    t = _read_tableau(args.tableau)
-    payload, lines = _tableau_payload(flip(t))
-    _emit(payload, lines, args.json)
-    return 0
-
-
-def _cmd_psi(args) -> int:
-    t = _read_tableau(args.tableau)
-    payload, lines = _tableau_payload(psi(t))
+def _cmd_tableau_map(args) -> int:
+    """flip or psi, whichever the subcommand set as ``tableau_map``."""
+    payload, lines = _tableau_payload(args.tableau_map(_read_tableau(args.tableau)))
     _emit(payload, lines, args.json)
     return 0
 
@@ -272,11 +255,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("flip", parents=[common], help="transpose-complement involution")
     p.add_argument("--tableau", required=True)
-    p.set_defaults(func=_cmd_flip)
+    p.set_defaults(func=_cmd_tableau_map, tableau_map=flip)
 
     p = sub.add_parser("psi", parents=[common], help="entry complement on the longest permutation")
     p.add_argument("--tableau", required=True)
-    p.set_defaults(func=_cmd_psi)
+    p.set_defaults(func=_cmd_tableau_map, tableau_map=psi)
 
     p = sub.add_parser("graph", parents=[common], help="export the move graph")
     p.add_argument("-w", required=True)

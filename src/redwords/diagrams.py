@@ -137,19 +137,6 @@ class Filling:
     def items(self) -> list[tuple[Cell, int]]:
         return list(zip(self.cells, self.entries))
 
-    def entry(self, cell: Cell) -> int:
-        try:
-            return self.entries[self.cells.index(cell)]
-        except ValueError:
-            raise ValueError(f"cell {cell} not in filling") from None
-
-    def position(self, value: int) -> Cell:
-        """Cell holding the given entry."""
-        try:
-            return self.cells[self.entries.index(value)]
-        except ValueError:
-            raise ValueError(f"entry {value} not in filling") from None
-
     def positions(self) -> dict[int, Cell]:
         """Entry value -> cell, for every entry."""
         return {e: cell for cell, e in zip(self.cells, self.entries)}

@@ -10,21 +10,51 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, NamedTuple
 
 from .bijection import moves_for, tableau_to_word
 from .diagrams import Filling, super_tableau
 from .perms import Permutation
 from .report import CheckResult
+# Most of these are called only by name, through MODELS.
 from .tableaux import _iter_sbt, psi, tab_inversions
 from .words import Word, iter_reduced_words, super_word, word_inversions
 
 Vertex = Word | Filling
 
-# The element type of each model, keyed by the model name.
-MODELS = {"words": Word, "tableaux": Filling}
-
 DEFAULT_VERTEX_BUDGET = 10**6
+
+# Per model: the element type (``from_text``, ``to_text``); the names of
+# the functions giving the elements of w, an element's rank and the super
+# element of w, looked up here on each use so that a rebinding is seen; the
+# key sorting elements into vertex order; the ``Move`` method acting on them.
+MODELS = {
+    "words": (Word, "iter_reduced_words", "word_inversions", "super_word", None, "on_word"),
+    "tableaux": (
+        Filling, "_iter_sbt", "tab_inversions", "super_tableau", attrgetter("entries"), "on_tableau"
+    ),
+}
+
+
+class Model(NamedTuple):
+    """A row of ``MODELS`` with its function names replaced by functions."""
+
+    type: type
+    elements: Callable[[Permutation], Iterable[Vertex]]
+    rank: Callable[[Vertex], int]
+    top: Callable[[Permutation], Vertex]
+    order: Callable[[Vertex], object] | None
+    act: str
+
+
+def lookup_model(name: str) -> Model:
+    """The row of ``MODELS`` called ``name``, with its functions looked up."""
+    if name not in MODELS:
+        raise ValueError(f"unknown model: {name!r}")
+    kind, elements, rank, top, order, act = MODELS[name]
+    found = globals()
+    return Model(kind, found[elements], found[rank], found[top], order, act)
 
 
 class MoveGraph:
@@ -78,10 +108,6 @@ class MoveGraph:
     def neighbors(self, idx: int) -> list[tuple[int, bool]]:
         return self._adjacency[idx]
 
-    def element_text(self, idx: int) -> str:
-        v = self.vertices[idx]
-        return str(v) if isinstance(v, Word) else v.to_text()
-
 
 def build_graph(
     w: Permutation,
@@ -94,33 +120,25 @@ def build_graph(
     right-to-left index (words) or entry value (tableaux) of the move, so
     the two models are comparable under the matching bijection.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model: {model!r}")
+    m = lookup_model(model)
     vertices: list[Vertex] = []
-    source = iter_reduced_words(w) if model == "words" else _iter_sbt(w)
-    for element in source:
+    for element in m.elements(w):
         vertices.append(element)
         if len(vertices) > max_vertices:
             raise ValueError(
                 f"vertex budget exceeded: more than {max_vertices} elements"
             )
-    if model == "tableaux":
-        vertices.sort(key=lambda f: f.entries)
-        ranks = [tab_inversions(f) for f in vertices]
-    else:
-        pi = super_word(w)
-        ranks = [word_inversions(word, _super=pi) for word in vertices]
+    vertices.sort(key=m.order)
+    ranks = [m.rank(element) for element in vertices]
 
     index = {v: k for k, v in enumerate(vertices)}
     # Every element has length(w) letters or cells, and every move is an
     # involution, so each edge is recorded once, from its lower end.
-    moves = moves_for(w.length)
+    moves = [(getattr(move, m.act), move) for move in moves_for(w.length)]
     edges: list[tuple[int, int, str]] = []
     for k, element in enumerate(vertices):
-        for move in moves:
-            other = (
-                move.on_word(element) if model == "words" else move.on_tableau(element)
-            )
+        for act, move in moves:
+            other = act(element)
             if other is not element:
                 j = index[other]
                 if k < j:
@@ -195,11 +213,10 @@ def diameter(g: MoveGraph, w0_shortcut: bool = False) -> int:
     if w0_shortcut:
         if g.w != Permutation.longest(g.w.n):
             raise ValueError("shortcut applies only to the longest permutation")
-        top = super_tableau(g.w)
-        bottom = psi(top)
-        if g.model == "tableaux":
-            return bfs_distance(g, top, bottom)
-        return bfs_distance(g, super_word(g.w), tableau_to_word(bottom))
+        bottom = psi(super_tableau(g.w))
+        if g.model == "words":  # the word matched to the bottom tableau
+            bottom = tableau_to_word(bottom)
+        return bfs_distance(g, lookup_model(g.model).top(g.w), bottom)
     best = 0
     for source in range(len(g.vertices)):
         dist = _bfs(g, source)
@@ -281,7 +298,7 @@ def to_dot(g: MoveGraph) -> str:
     lines = ["graph {"]
     for k in range(len(g.vertices)):
         lines.append(
-            f'  {k} [label="{g.element_text(k)}" rank={g.ranks[k]}];'
+            f'  {k} [label="{g.vertices[k].to_text()}" rank={g.ranks[k]}];'
         )
     for u, v, label in g.edges:
         lines.append(f'  {u} -- {v} [label="{label}"];')
@@ -294,7 +311,7 @@ def to_json(g: MoveGraph) -> str:
         "model": g.model,
         "w": str(g.w),
         "vertices": [
-            {"id": k, "elem": g.element_text(k), "rank": g.ranks[k]}
+            {"id": k, "elem": g.vertices[k].to_text(), "rank": g.ranks[k]}
             for k in range(len(g.vertices))
         ],
         "edges": [{"u": u, "v": v, "move": label} for u, v, label in g.edges],
@@ -314,10 +331,8 @@ def graph_from_json(text: str) -> MoveGraph:
     """Rebuild a graph from its JSON export."""
     payload = json.loads(text)
     model = payload["model"]
-    if model not in MODELS:
-        raise ValueError(f"unknown model: {model!r}")
+    parse = lookup_model(model).type.from_text
     w = Permutation.from_text(payload["w"])
-    parse = MODELS[model].from_text
     records = sorted(payload["vertices"], key=lambda rec: rec["id"])
     vertices = [parse(rec["elem"]) for rec in records]
     ranks = [rec["rank"] for rec in records]

@@ -5,14 +5,16 @@ for the staircase checks) and records the first counterexample.  All-pairs
 checks that grow quadratically in the word count are gated to rank 4 and
 reported as skipped above it.
 
-Two rules keep a run linear in the size of the move graphs:
+Three rules keep a run from doing the same work twice:
 
 - each (w, model) is enumerated once, as the vertices of its move graph,
   built once per run;
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, not by one search
-  per vertex.
+  per vertex;
+- the super word of w is built once, by ``words.super_word``, which keeps
+  it for the calls that follow on the same w; no check hands it on.
 """
 
 from __future__ import annotations
@@ -101,17 +103,16 @@ def run_suite(n: int) -> list[CheckResult]:
     check("word_super_exists_unique", _sweep(n, super_unique))
 
     def moves_closed(w: Permutation) -> str | None:
-        pi = words.super_word(w)
         for rho in graph_of(w, "words").vertices:
             ell = len(rho)
-            inv = words.word_inversions(rho, _super=pi)
+            inv = words.word_inversions(rho)
             for move in bijection.moves_for(ell):
                 out = move.on_word(rho)
                 if move.on_word(out) != rho:
                     return f"w={w} rho={rho} {move.label}: not an involution"
                 if words.word_to_permutation(out, n) != w or not words.is_reduced(out, n):
                     return f"w={w} rho={rho} {move.label}: left R(w)"
-                if out != rho and abs(words.word_inversions(out, _super=pi) - inv) != 1:
+                if out != rho and abs(words.word_inversions(out) - inv) != 1:
                     return f"w={w} rho={rho} {move.label}: rank step != 1"
         return None
 
@@ -122,7 +123,7 @@ def run_suite(n: int) -> list[CheckResult]:
         pi = words.super_word(w)
         dist, _ = graphs.shortest_paths(g, pi)
         for rho, d in zip(g.vertices, dist):
-            if d != words.word_inversions(rho, _super=pi):
+            if d != words.word_inversions(rho):
                 return f"w={w} rho={rho}"
         return None
 
@@ -133,7 +134,7 @@ def run_suite(n: int) -> list[CheckResult]:
         for rho in graph_of(w, "words").vertices:
             if not rho:
                 continue
-            ident = words.pairing_permutation(rho, _super=pi) == Permutation.identity(len(rho))
+            ident = words.pairing_permutation(rho) == Permutation.identity(len(rho))
             if ident != (rho == pi):
                 return f"w={w} rho={rho}"
         return None
@@ -155,7 +156,7 @@ def run_suite(n: int) -> list[CheckResult]:
         for rho in graph_of(w, "words").vertices:
             if not rho:
                 continue
-            if words.naive_pair_inversions(rho, pi) != words.word_inversions(rho, _super=pi):
+            if words.naive_pair_inversions(rho, pi) != words.word_inversions(rho):
                 return f"w={w} rho={rho}"
         return None
 
@@ -343,7 +344,7 @@ def run_suite(n: int) -> list[CheckResult]:
 
     # --- graphs ------------------------------------------------------------------
     def graph_checks(w: Permutation) -> str | None:
-        for model in ("words", "tableaux"):
+        for model in graphs.MODELS:
             g = graph_of(w, model)
             if not graphs.is_connected(g):
                 return f"w={w} {model}: disconnected"

@@ -19,6 +19,7 @@ that need a reduced word check reducedness once per call.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .perms import Permutation
@@ -65,8 +66,11 @@ class Word(tuple):
         """Reversal; takes a word for w to a word for the inverse of w."""
         return tuple.__new__(Word, self[::-1])
 
-    def __str__(self) -> str:
+    def to_text(self) -> str:
+        """Comma-separated letters, as ``from_text`` reads them."""
         return ",".join(str(x) for x in self)
+
+    __str__ = to_text
 
     def __repr__(self) -> str:
         return f"Word({tuple(self)!r})"
@@ -167,12 +171,18 @@ def super_word(w: Permutation) -> Word:
 
     Repeatedly takes the last descent i of the working permutation, finds
     the first position j > i holding a larger value (n+1 if none), appends
-    the interval i..j-2, and applies those swaps.
+    the interval i..j-2, and applies those swaps.  The words of the last
+    few permutations asked for are kept, so asking again costs a lookup.
 
     >>> str(super_word(Permutation([4, 2, 1, 5, 3])))
     '4,2,1,2,3'
     """
-    v = list(w)
+    return _super_word(tuple(w))
+
+
+@lru_cache(maxsize=64)
+def _super_word(entries: tuple[int, ...]) -> Word:
+    v = list(entries)
     n = len(v)
     out: list[int] = []
     while True:
@@ -216,7 +226,35 @@ def braid_move(word: Word, i: int) -> Word:
     return tuple.__new__(Word, letters)
 
 
-def pairing_permutation(word: Word | Iterable[int], _super: Word | None = None) -> Permutation:
+def _pairing(word: Word) -> tuple[Permutation, Word]:
+    """The pairing permutation of a reduced word and the super word it
+    pairs against; see ``pairing_permutation``."""
+    ell = len(word)
+    if ell == 0:
+        raise ValueError("the empty word has no pairing permutation")
+    # Reduced iff every swap, applied right to left, lengthens the permutation.
+    v = list(range(1, max(word) + 2))
+    for letter in reversed(word):
+        a, b = v[letter - 1], v[letter]
+        if a > b:
+            raise ValueError(f"word is not reduced: {word}")
+        v[letter - 1], v[letter] = b, a
+    pi = super_word(tuple.__new__(Permutation, v))
+    unmatched = list(range(ell))  # display slots of the input word
+    out = [0] * ell
+    for i, k in zip(range(ell, 0, -1), pi):
+        for pos, slot in enumerate(unmatched):
+            letter = word[slot]
+            if letter == k:
+                del unmatched[pos]
+                out[i - 1] = ell - slot
+                break
+            if letter == k - 1:
+                k -= 1
+    return tuple.__new__(Permutation, out), pi
+
+
+def pairing_permutation(word: Word | Iterable[int]) -> Permutation:
     """Match the letters of a reduced word against its super-Yamanouchi word.
 
     Scans the super word left to right in display order; for each of its
@@ -230,33 +268,10 @@ def pairing_permutation(word: Word | Iterable[int], _super: Word | None = None) 
     >>> str(pairing_permutation(rho))
     '2,3,5,1,8,9,10,4,6,7,11,12'
     """
-    word = _as_word(word)
-    ell = len(word)
-    if ell == 0:
-        raise ValueError("the empty word has no pairing permutation")
-    # Reduced iff every swap, applied right to left, lengthens the permutation.
-    v = list(range(1, max(word) + 2))
-    for letter in reversed(word):
-        a, b = v[letter - 1], v[letter]
-        if a > b:
-            raise ValueError(f"word is not reduced: {word}")
-        v[letter - 1], v[letter] = b, a
-    pi = _super if _super is not None else super_word(tuple.__new__(Permutation, v))
-    unmatched = list(range(ell))  # display slots of the input word
-    out = [0] * ell
-    for i, k in zip(range(ell, 0, -1), pi):
-        for pos, slot in enumerate(unmatched):
-            letter = word[slot]
-            if letter == k:
-                del unmatched[pos]
-                out[i - 1] = ell - slot
-                break
-            if letter == k - 1:
-                k -= 1
-    return tuple.__new__(Permutation, out)
+    return _pairing(_as_word(word))[0]
 
 
-def word_inversions(word: Word | Iterable[int], _super: Word | None = None) -> int:
+def word_inversions(word: Word | Iterable[int]) -> int:
     """Inversion number: length of the pairing permutation minus the
     letterwise surplus of the super word.  Equals the minimum number of
     Coxeter moves from the word to its super-Yamanouchi word.
@@ -267,14 +282,14 @@ def word_inversions(word: Word | Iterable[int], _super: Word | None = None) -> i
     word = _as_word(word)
     if not word:
         return 0
-    pi = _super if _super is not None else super_word(word_to_permutation(word))
-    perm = pairing_permutation(word, _super=pi)
+    perm, pi = _pairing(word)
     return perm.length - (sum(pi) - sum(word))
 
 
-def _pair_permutation(rho: Word, sigma: Word) -> Permutation:
-    """perm(sigma) composed with the inverse of perm(rho), after checking
-    both words reduce to the same permutation."""
+def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
+    """The pair permutation u, perm(sigma) composed with the inverse of
+    perm(rho), after checking both words reduce to the same permutation;
+    and the letterwise displacement, the sum over i of |rho_i - sigma_u(i)|."""
     n = max(max(rho), max(sigma)) + 1
     w_rho = word_to_permutation(rho, n)
     w_sigma = word_to_permutation(sigma, n)
@@ -282,8 +297,8 @@ def _pair_permutation(rho: Word, sigma: Word) -> Permutation:
         raise ValueError(
             f"words are for different permutations: {w_rho} vs {w_sigma}"
         )
-    pi = super_word(w_rho)
-    return pairing_permutation(sigma, _super=pi) * pairing_permutation(rho, _super=pi).inverse()
+    u = pairing_permutation(sigma) * pairing_permutation(rho).inverse()
+    return u, sum(abs(rho.letter(i) - sigma.letter(u(i))) for i in range(1, len(rho) + 1))
 
 
 def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) -> int:
@@ -303,8 +318,7 @@ def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) ->
     rho, sigma = _as_word(rho), _as_word(sigma)
     if not rho and not sigma:
         return 0
-    u = _pair_permutation(rho, sigma)
-    return sum(abs(rho.letter(i) - sigma.letter(u(i))) for i in range(1, len(rho) + 1))
+    return _pair_displacement(rho, sigma)[1]
 
 
 def naive_pair_inversions(rho: Word | Iterable[int], sigma: Word | Iterable[int]) -> int:
@@ -319,10 +333,7 @@ def naive_pair_inversions(rho: Word | Iterable[int], sigma: Word | Iterable[int]
     rho, sigma = _as_word(rho), _as_word(sigma)
     if not rho and not sigma:
         return 0
-    u = _pair_permutation(rho, sigma)
-    displacement = sum(
-        abs(rho.letter(i) - sigma.letter(u(i))) for i in range(1, len(rho) + 1)
-    )
+    u, displacement = _pair_displacement(rho, sigma)
     return u.length - displacement
 
 

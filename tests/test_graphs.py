@@ -240,3 +240,33 @@ def test_graph_from_json_rejects_unknown_model():
     payload["model"] = "chains"
     with pytest.raises(ValueError):
         graph_from_json(json.dumps(payload))
+
+
+def test_model_functions_are_looked_up_on_each_use(monkeypatch):
+    """A function rebound on the graphs module after import is the one
+    build_graph calls, as a profiler that wraps module functions needs."""
+    from redwords import graphs
+
+    ranked = []
+
+    def rank(word):
+        ranked.append(word)
+        return word_inversions(word)
+
+    monkeypatch.setattr(graphs, "word_inversions", rank)
+    g = build_graph(Permutation([3, 2, 1]), "words")
+    assert ranked == list(g.vertices)
+
+
+def test_lookup_model_rows():
+    from redwords.graphs import MODELS, lookup_model
+
+    for name in MODELS:
+        m = lookup_model(name)
+        w = Permutation([4, 2, 1, 5, 3])
+        top = m.top(w)
+        assert m.rank(top) == 0
+        assert m.type.from_text(top.to_text()) == top
+        assert top in set(m.elements(w))
+    with pytest.raises(ValueError, match="unknown model"):
+        lookup_model("braids")

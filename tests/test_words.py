@@ -302,3 +302,36 @@ def test_super_word_properties(entries):
     assert word_inversions(pi) == 0
     assert is_reduced(pi.reverse(), w.n)
     assert word_to_permutation(pi.reverse(), w.n) == w.inverse()
+
+
+def test_super_word_memo_is_keyed_by_permutation():
+    """Every nonempty reduced word of S_4 and S_5 in a shuffled order, so
+    more permutations pass through the super-word memo than it holds; the
+    expected values come from the move graphs, not from ``super_word``."""
+    import random
+
+    from redwords import build_graph, shortest_paths
+    from redwords.words import _super_word
+
+    cases = []
+    for n in (4, 5):
+        for w in all_permutations(n):
+            g = build_graph(w, "words")
+            pi = next(r for r in g.vertices if is_super_yamanouchi(r))
+            dist, _ = shortest_paths(g, pi)
+            cases.extend((rho, d) for rho, d in zip(g.vertices, dist) if rho)
+    random.Random(5).shuffle(cases)
+    _super_word.cache_clear()
+    for rho, d in cases:
+        assert word_inversions(rho) == d
+        is_identity = pairing_permutation(rho) == Permutation.identity(len(rho))
+        assert is_identity == (d == 0)
+    held = _super_word.cache_info()
+    assert len({word_to_permutation(rho) for rho, _ in cases}) > held.maxsize
+    assert held.misses > held.maxsize
+
+
+def test_word_to_text_matches_str():
+    for rho in (Word(), Word([3]), RHO):
+        assert rho.to_text() == str(rho)
+        assert Word.from_text(rho.to_text()) == rho
