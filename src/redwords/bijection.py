@@ -54,14 +54,10 @@ class Move:
         return f"{self.kind}{self.index}"
 
     def on_word(self, word: Word) -> Word:
-        if self.kind == "c":
-            return commutation_move(word, self.index)
-        return braid_move(word, self.index)
+        return (commutation_move if self.kind == "c" else braid_move)(word, self.index)
 
     def on_tableau(self, f: Filling) -> Filling:
-        if self.kind == "c":
-            return tab_commutation(f, self.index)
-        return tab_braid(f, self.index)
+        return (tab_commutation if self.kind == "c" else tab_braid)(f, self.index)
 
 
 @cache
@@ -80,7 +76,8 @@ def descent_to_super(f: Filling) -> list[Move]:
     While some pair (i, i+1) has i strictly above i+1: if any such pair sits
     in different columns, commute the smallest such i; otherwise braid at
     i+1 for the largest such i.  Each step removes exactly one inversion.
-    Runs on a value -> cell list, where a move swaps two slots.
+    Runs on a value -> cell list, where a move swaps two slots.  A scan
+    resumes just below the last step's slots, or at 1 if it found nothing.
     """
     ell = len(f)
     if ell < 2:
@@ -89,19 +86,24 @@ def descent_to_super(f: Filling) -> list[Move]:
     cell_of = [None] + [pos[v] for v in range(1, ell + 1)]
     table = moves_for(ell)  # c1..c(ell-1), then b2..b(ell-1)
     moves: list[Move] = []
+    start = 1  # no pair below start commutes
     while True:
         braid = 0  # i+1 for the largest i seen strictly above i+1
-        for i in range(1, ell):
+        for i in range(start, ell):
             (r1, c1), (r2, c2) = cell_of[i], cell_of[i + 1]
             if r1 > r2:
                 if c1 != c2:
                     cell_of[i], cell_of[i + 1] = cell_of[i + 1], cell_of[i]
                     moves.append(table[i - 1])
+                    start = max(1, i - 1)
                     break
                 braid = i + 1
         else:  # nothing to commute
             if not braid:
-                return moves
+                if start == 1:
+                    return moves
+                start = 1  # a braid may wait below the scanned pairs
+                continue
             if braid == ell:  # tab_braid's range check
                 raise ValueError(f"entry {ell} out of range 2..{ell - 1}")
             if not _braidable(*cell_of[braid - 1 : braid + 2]):
@@ -109,6 +111,7 @@ def descent_to_super(f: Filling) -> list[Move]:
                 raise RuntimeError(f"descent stalled at {stalled.to_text()}")
             cell_of[braid - 1], cell_of[braid + 1] = cell_of[braid + 1], cell_of[braid - 1]
             moves.append(table[ell + braid - 3])
+            start = max(1, braid - 2)
 
 
 def word_to_tableau(word: Word) -> Filling:
@@ -213,8 +216,7 @@ def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
     edge_fail = None
     for rho, t in mapping.items():
         for move in moves_for(len(rho)):
-            rho2 = move.on_word(rho)
-            t2 = move.on_tableau(t)
+            rho2, t2 = move.on_word(rho), move.on_tableau(t)
             if (rho2 == rho) != (t2 == t) or (rho2 != rho and mapping[rho2] != t2):
                 edge_fail = f"w={w} word={rho} move={move.label}"
                 break

@@ -117,11 +117,12 @@ def iter_reduced_words(w: Permutation) -> Iterator[Word]:
     stack = [(tuple(w), ())]
     while stack:
         v, prefix = stack.pop()
-        descents = [i for i in range(1, n) if v[i - 1] > v[i]]
-        if not descents:
+        depth = len(stack)
+        for i in range(n - 1, 0, -1):  # largest descent first, so popped last
+            if v[i - 1] > v[i]:
+                stack.append((v[: i - 1] + (v[i], v[i - 1]) + v[i + 1 :], prefix + (i,)))
+        if len(stack) == depth:
             yield tuple.__new__(Word, prefix)
-        for i in reversed(descents):
-            stack.append((v[: i - 1] + (v[i], v[i - 1]) + v[i + 1 :], prefix + (i,)))
 
 
 def enumerate_reduced_words(w: Permutation) -> list[Word]:
@@ -206,9 +207,7 @@ def commutation_move(word: Word, i: int) -> Word:
     a, b = word[hi], word[hi - 1]  # letters i, i+1
     if abs(a - b) <= 1:
         return word
-    letters = list(word)
-    letters[hi], letters[hi - 1] = b, a
-    return tuple.__new__(Word, letters)
+    return tuple.__new__(Word, word[: hi - 1] + (a, b) + word[hi + 1 :])
 
 
 def braid_move(word: Word, i: int) -> Word:
@@ -221,14 +220,25 @@ def braid_move(word: Word, i: int) -> Word:
     a, b, c = word[lo], word[lo + 1], word[lo + 2]  # letters i+1, i, i-1
     if a != c or abs(a - b) != 1:
         return word
-    letters = list(word)
-    letters[lo : lo + 3] = (b, a, b)
-    return tuple.__new__(Word, letters)
+    return tuple.__new__(Word, word[:lo] + (b, a, b) + word[lo + 3 :])
 
 
-def _pairing(word: Word) -> tuple[Permutation, Word]:
-    """The pairing permutation of a reduced word and the super word it
-    pairs against; see ``pairing_permutation``."""
+def word_neighbours(word: Word) -> list[tuple[int, Word]]:
+    """Every nontrivial move as (slot in ``bijection.moves_for(len(word))``,
+    image), in one pass; a braid at i needs letters i, i+1 not to commute."""
+    ell, out = len(word), []
+    for i in range(1, ell):
+        image = commutation_move(word, i)
+        if image is not word:
+            out.append((i - 1, image))
+        elif i > 1 and (image := braid_move(word, i)) is not word:
+            out.append((ell + i - 3, image))
+    return out
+
+
+def _pairing(word: Word) -> tuple[Permutation, Word, int]:
+    """A reduced word's pairing permutation, the super word it pairs against
+    and the permutation's inversion number; see ``pairing_permutation``."""
     ell = len(word)
     if ell == 0:
         raise ValueError("the empty word has no pairing permutation")
@@ -240,18 +250,22 @@ def _pairing(word: Word) -> tuple[Permutation, Word]:
             raise ValueError(f"word is not reduced: {word}")
         v[letter - 1], v[letter] = b, a
     pi = super_word(tuple.__new__(Permutation, v))
-    unmatched = list(range(ell))  # display slots of the input word
-    out = [0] * ell
-    for i, k in zip(range(ell, 0, -1), pi):
-        for pos, slot in enumerate(unmatched):
-            letter = word[slot]
+    letters, slots = list(word), list(range(ell))  # unmatched letters, their display slots
+    out, inversions = [0] * ell, 0
+    for i, k in zip(range(ell - 1, -1, -1), pi):
+        below, p = k - 1, 0
+        for letter in letters:  # a reduced word always holds a match
             if letter == k:
-                del unmatched[pos]
-                out[i - 1] = ell - slot
                 break
-            if letter == k - 1:
-                k -= 1
-    return tuple.__new__(Permutation, out), pi
+            if letter == below:
+                k, below = below, below - 1
+            p += 1
+        del letters[p]
+        slot = slots.pop(p)
+        out[i] = ell - slot
+        # entries placed so far sit right of i; those of later slots are smaller
+        inversions += ell - 1 - slot - (len(slots) - p)
+    return tuple.__new__(Permutation, out), pi, inversions
 
 
 def pairing_permutation(word: Word | Iterable[int]) -> Permutation:
@@ -282,22 +296,20 @@ def word_inversions(word: Word | Iterable[int]) -> int:
     word = _as_word(word)
     if not word:
         return 0
-    perm, pi = _pairing(word)
-    return perm.length - (sum(pi) - sum(word))
+    _, pi, inversions = _pairing(word)
+    return inversions - (sum(pi) - sum(word))
 
 
 def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
     """The pair permutation u, perm(sigma) composed with the inverse of
     perm(rho), after checking both words reduce to the same permutation;
     and the letterwise displacement, the sum over i of |rho_i - sigma_u(i)|."""
-    n = max(max(rho), max(sigma)) + 1
-    w_rho = word_to_permutation(rho, n)
-    w_sigma = word_to_permutation(sigma, n)
-    if w_rho != w_sigma:
-        raise ValueError(
-            f"words are for different permutations: {w_rho} vs {w_sigma}"
-        )
-    u = pairing_permutation(sigma) * pairing_permutation(rho).inverse()
+    (u_sigma, pi, _), (u_rho, pi_rho, _) = _pairing(sigma), _pairing(rho)
+    if pi != pi_rho:  # reduced words share a permutation iff they share a super word
+        n = max(max(rho), max(sigma)) + 1
+        w_rho, w_sigma = word_to_permutation(rho, n), word_to_permutation(sigma, n)
+        raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
+    u = u_sigma * u_rho.inverse()
     return u, sum(abs(rho.letter(i) - sigma.letter(u(i))) for i in range(1, len(rho) + 1))
 
 

@@ -19,6 +19,7 @@ from redwords import (
     word_to_permutation,
     yang_baxter_count,
 )
+from redwords.words import _pairing
 
 from conftest import (
     EDGE_GRID_4321,
@@ -102,7 +103,9 @@ def test_super_word_unique_in_enumeration(n):
         pi = super_word(w)
         assert word_to_permutation(pi, n) == w
         assert is_reduced(pi, n)
-        supers = [r for r in enumerate_reduced_words(w) if is_super_yamanouchi(r)]
+        words = enumerate_reduced_words(w)
+        assert words == sorted(words)  # lexicographic display order
+        supers = [r for r in words if is_super_yamanouchi(r)]
         assert supers == [pi]
 
 
@@ -200,6 +203,15 @@ def test_derived_words_equal_public_ones():
 def test_enumeration_deeper_than_the_recursion_limit():
     w = Permutation(list(range(2, 1202)) + [1])
     assert enumerate_reduced_words(w) == [Word(range(1200, 0, -1))]
+
+
+def test_pairing_scan_counts_the_pairing_inversions():
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            for rho in enumerate_reduced_words(w):
+                if rho:
+                    perm, _, inversions = _pairing(rho)
+                    assert inversions == perm.length
 
 
 def test_word_inversions_reference_example():
