@@ -54,10 +54,14 @@ class Move:
         return f"{self.kind}{self.index}"
 
     def on_word(self, word: Word) -> Word:
-        return (commutation_move if self.kind == "c" else braid_move)(word, self.index)
+        if self.kind == "c":
+            return commutation_move(word, self.index)
+        return braid_move(word, self.index)
 
     def on_tableau(self, f: Filling) -> Filling:
-        return (tab_commutation if self.kind == "c" else tab_braid)(f, self.index)
+        if self.kind == "c":
+            return tab_commutation(f, self.index)
+        return tab_braid(f, self.index)
 
 
 @cache
@@ -216,7 +220,8 @@ def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
     edge_fail = None
     for rho, t in mapping.items():
         for move in moves_for(len(rho)):
-            rho2, t2 = move.on_word(rho), move.on_tableau(t)
+            rho2 = move.on_word(rho)
+            t2 = move.on_tableau(t)
             if (rho2 == rho) != (t2 == t) or (rho2 != rho and mapping[rho2] != t2):
                 edge_fail = f"w={w} word={rho} move={move.label}"
                 break

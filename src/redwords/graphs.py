@@ -3,14 +3,13 @@ distances, single-source shortest paths with their fewest braids, diameter,
 ranked poset validation, and DOT/JSON export.
 
 Vertices are deduplicated and ordered by their canonical text forms, never
-by structural hashing.  Edges come from each model's neighbour scan.
+by structural hashing.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from itertools import islice
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -19,22 +18,21 @@ from .diagrams import Filling, super_tableau
 from .perms import Permutation
 from .report import CheckResult
 # Most of these are called only by name, through MODELS.
-from .tableaux import _iter_sbt, psi, tab_inversions, tableau_neighbours
-from .words import Word, iter_reduced_words, super_word, word_inversions, word_neighbours
+from .tableaux import _iter_sbt, psi, tab_inversions
+from .words import Word, iter_reduced_words, super_word, word_inversions
 
 Vertex = Word | Filling
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
-# Per model: the element type (``from_text``, ``to_text``); then the names,
-# looked up on each use so that a rebinding is seen, of the functions giving
-# the elements of w, an element's rank and the super element of w; the key
-# sorting elements into vertex order; the name of the element's move scan.
+# Per model: the element type (``from_text``, ``to_text``); the names of
+# the functions giving the elements of w, an element's rank and the super
+# element of w, looked up here on each use so that a rebinding is seen; the
+# key sorting elements into vertex order; the ``Move`` method acting on them.
 MODELS = {
-    "words": (Word, "iter_reduced_words", "word_inversions", "super_word", None, "word_neighbours"),
+    "words": (Word, "iter_reduced_words", "word_inversions", "super_word", None, "on_word"),
     "tableaux": (
-        Filling, "_iter_sbt", "tab_inversions", "super_tableau", attrgetter("entries"),
-        "tableau_neighbours",
+        Filling, "_iter_sbt", "tab_inversions", "super_tableau", attrgetter("entries"), "on_tableau"
     ),
 }
 
@@ -47,16 +45,16 @@ class Model(NamedTuple):
     rank: Callable[[Vertex], int]
     top: Callable[[Permutation], Vertex]
     order: Callable[[Vertex], object] | None
-    neighbours: Callable[[Vertex], list[tuple[int, Vertex]]]
+    act: str
 
 
 def lookup_model(name: str) -> Model:
     """The row of ``MODELS`` called ``name``, with its functions looked up."""
     if name not in MODELS:
         raise ValueError(f"unknown model: {name!r}")
-    kind, elements, rank, top, order, neighbours = MODELS[name]
+    kind, elements, rank, top, order, act = MODELS[name]
     found = globals()
-    return Model(kind, found[elements], found[rank], found[top], order, found[neighbours])
+    return Model(kind, found[elements], found[rank], found[top], order, act)
 
 
 class MoveGraph:
@@ -123,22 +121,28 @@ def build_graph(
     the two models are comparable under the matching bijection.
     """
     m = lookup_model(model)
-    vertices = list(islice(m.elements(w), max_vertices + 1))
-    if len(vertices) > max_vertices:
-        raise ValueError(f"vertex budget exceeded: more than {max_vertices} elements")
+    vertices: list[Vertex] = []
+    for element in m.elements(w):
+        vertices.append(element)
+        if len(vertices) > max_vertices:
+            raise ValueError(
+                f"vertex budget exceeded: more than {max_vertices} elements"
+            )
     vertices.sort(key=m.order)
     ranks = [m.rank(element) for element in vertices]
 
     index = {v: k for k, v in enumerate(vertices)}
     # Every element has length(w) letters or cells, and every move is an
     # involution, so each edge is recorded once, from its lower end.
-    labels = [move.label for move in moves_for(w.length)]
+    moves = [(getattr(move, m.act), move.label) for move in moves_for(w.length)]
     edges: list[tuple[int, int, str]] = []
     for k, element in enumerate(vertices):
-        for slot, other in m.neighbours(element):
-            j = index[other]
-            if k < j:
-                edges.append((k, j, labels[slot]))
+        for act, label in moves:
+            other = act(element)
+            if other is not element:
+                j = index[other]
+                if k < j:
+                    edges.append((k, j, label))
     return MoveGraph(model, w, vertices, sorted(edges), ranks)
 
 

@@ -108,9 +108,19 @@ def enumerate_sbt(w: Permutation) -> list[Filling]:
     return sorted(_iter_sbt(w), key=lambda f: f.entries)
 
 
-def _commutable(p: Cell, q: Cell) -> bool:
-    """The commutation condition on the cells of entries i and i+1."""
-    return p[0] != q[0] and p[1] != q[1]
+def tab_commutation(f: Filling, i: int) -> Filling:
+    """Exchange entries i and i+1 when they share neither row nor column;
+    otherwise return the tableau unchanged."""
+    ell = len(f)
+    if not 1 <= i < ell:
+        raise ValueError(f"entry {i} out of range 1..{ell - 1}")
+    a, b = f.entries.index(i), f.entries.index(i + 1)
+    (r1, c1), (r2, c2) = f.cells[a], f.cells[b]
+    if r1 == r2 or c1 == c2:
+        return f
+    swapped = list(f.entries)
+    swapped[a], swapped[b] = i + 1, i
+    return _filling(f.cells, tuple(swapped))
 
 
 def _braidable(lo: Cell, mid: Cell, hi: Cell) -> bool:
@@ -122,23 +132,6 @@ def _braidable(lo: Cell, mid: Cell, hi: Cell) -> bool:
     )
 
 
-def _exchanged(f: Filling, a: int, b: int) -> Filling:
-    """The filling with the entries of cell slots a and b exchanged."""
-    entries = list(f.entries)
-    entries[a], entries[b] = entries[b], entries[a]
-    return _filling(f.cells, tuple(entries))
-
-
-def tab_commutation(f: Filling, i: int) -> Filling:
-    """Exchange entries i and i+1 when they share neither row nor column;
-    otherwise return the tableau unchanged."""
-    ell = len(f)
-    if not 1 <= i < ell:
-        raise ValueError(f"entry {i} out of range 1..{ell - 1}")
-    a, b = f.entries.index(i), f.entries.index(i + 1)
-    return _exchanged(f, a, b) if _commutable(f.cells[a], f.cells[b]) else f
-
-
 def tab_braid(f: Filling, i: int) -> Filling:
     """Exchange entries i-1 and i+1 when one sits above i in its column and
     the other sits right of i in its row; otherwise unchanged."""
@@ -146,21 +139,11 @@ def tab_braid(f: Filling, i: int) -> Filling:
     if not 1 < i < ell:
         raise ValueError(f"entry {i} out of range 2..{ell - 1}")
     a, m, b = (f.entries.index(v) for v in (i - 1, i, i + 1))
-    return _exchanged(f, a, b) if _braidable(f.cells[a], f.cells[m], f.cells[b]) else f
-
-
-def tableau_neighbours(f: Filling) -> list[tuple[int, Filling]]:
-    """Every nontrivial move on a standard filling as (slot in ``moves_for``,
-    image), in one pass; a braid at i needs entries i, i+1 not to commute."""
-    ell, cells, out = len(f), f.cells, []
-    slot = [0, *sorted(range(ell), key=f.entries.__getitem__)]  # value -> cell slot
-    for i in range(1, ell):
-        a, b = slot[i], slot[i + 1]
-        if _commutable(cells[a], cells[b]):
-            out.append((i - 1, _exchanged(f, a, b)))
-        elif i > 1 and _braidable(cells[slot[i - 1]], cells[a], cells[b]):
-            out.append((ell + i - 3, _exchanged(f, slot[i - 1], b)))
-    return out
+    if _braidable(f.cells[a], f.cells[m], f.cells[b]):
+        swapped = list(f.entries)
+        swapped[a], swapped[b] = i + 1, i - 1
+        return _filling(f.cells, tuple(swapped))
+    return f
 
 
 def inversion_pairs(f: Filling) -> list[tuple[int, int]]:

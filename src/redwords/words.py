@@ -207,7 +207,9 @@ def commutation_move(word: Word, i: int) -> Word:
     a, b = word[hi], word[hi - 1]  # letters i, i+1
     if abs(a - b) <= 1:
         return word
-    return tuple.__new__(Word, word[: hi - 1] + (a, b) + word[hi + 1 :])
+    letters = list(word)
+    letters[hi], letters[hi - 1] = b, a
+    return tuple.__new__(Word, letters)
 
 
 def braid_move(word: Word, i: int) -> Word:
@@ -220,20 +222,9 @@ def braid_move(word: Word, i: int) -> Word:
     a, b, c = word[lo], word[lo + 1], word[lo + 2]  # letters i+1, i, i-1
     if a != c or abs(a - b) != 1:
         return word
-    return tuple.__new__(Word, word[:lo] + (b, a, b) + word[lo + 3 :])
-
-
-def word_neighbours(word: Word) -> list[tuple[int, Word]]:
-    """Every nontrivial move as (slot in ``bijection.moves_for(len(word))``,
-    image), in one pass; a braid at i needs letters i, i+1 not to commute."""
-    ell, out = len(word), []
-    for i in range(1, ell):
-        image = commutation_move(word, i)
-        if image is not word:
-            out.append((i - 1, image))
-        elif i > 1 and (image := braid_move(word, i)) is not word:
-            out.append((ell + i - 3, image))
-    return out
+    letters = list(word)
+    letters[lo : lo + 3] = (b, a, b)
+    return tuple.__new__(Word, letters)
 
 
 def _pairing(word: Word) -> tuple[Permutation, Word, int]:
@@ -304,10 +295,12 @@ def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
     """The pair permutation u, perm(sigma) composed with the inverse of
     perm(rho), after checking both words reduce to the same permutation;
     and the letterwise displacement, the sum over i of |rho_i - sigma_u(i)|."""
-    (u_sigma, pi, _), (u_rho, pi_rho, _) = _pairing(sigma), _pairing(rho)
-    if pi != pi_rho:  # reduced words share a permutation iff they share a super word
+    u_sigma, pi_sigma, _ = _pairing(sigma)
+    u_rho, pi_rho, _ = _pairing(rho)
+    if pi_sigma != pi_rho:  # reduced words share a permutation iff they share a super word
         n = max(max(rho), max(sigma)) + 1
-        w_rho, w_sigma = word_to_permutation(rho, n), word_to_permutation(sigma, n)
+        w_rho = word_to_permutation(rho, n)
+        w_sigma = word_to_permutation(sigma, n)
         raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
     u = u_sigma * u_rho.inverse()
     return u, sum(abs(rho.letter(i) - sigma.letter(u(i))) for i in range(1, len(rho) + 1))

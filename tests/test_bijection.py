@@ -22,9 +22,7 @@ from redwords import (
     word_to_tableau,
 )
 
-from redwords.bijection import match_by_permutation, moves_for
-from redwords.tableaux import tableau_neighbours
-from redwords.words import word_neighbours
+from redwords.bijection import match_by_permutation
 
 from conftest import (
     EDGE_GRID_4321,
@@ -127,24 +125,6 @@ def test_match_by_permutation_of_given_lists():
     assert match_by_permutation(words, tableaux[:1] * len(tableaux)) is None
     assert match_by_permutation([Word()], [Filling({})]) == {Word(): Filling({})}
     assert match_by_permutation([Word()], []) is None
-
-
-@pytest.mark.parametrize(
-    "scan, elements, act",
-    [
-        (word_neighbours, enumerate_reduced_words, Move.on_word),
-        (tableau_neighbours, enumerate_sbt, Move.on_tableau),
-    ],
-    ids=["words", "tableaux"],
-)
-def test_neighbour_scans_match_public_moves(scan, elements, act):
-    for n in range(1, 6):
-        for w in all_permutations(n):
-            table = moves_for(w.length)
-            for x in elements(w):
-                images = [(slot, act(move, x)) for slot, move in enumerate(table)]
-                expected = [(slot, y) for slot, y in images if y is not x]
-                assert sorted(scan(x), key=lambda pair: pair[0]) == expected
 
 
 def _reference_descent(f):
