@@ -4,8 +4,9 @@ permutations agree.
 
 The tableau side has a constructive descent to the super tableau, so the
 tableau-to-word direction transports that move sequence instead of
-searching; the word-to-tableau direction inverts the reverse reading that
-defines the tableau's permutation and reconstructs rows.
+searching, replaying it backwards on one letter list of the super word; the
+word-to-tableau direction inverts the reverse reading that defines the
+tableau's permutation and reconstructs rows.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .tableaux import (
 )
 from .words import (
     Word,
+    _as_word,
     braid_move,
     commutation_move,
     enumerate_reduced_words,
@@ -126,7 +128,7 @@ def word_to_tableau(word: Word) -> Filling:
     reading), reconstructs from those row contents, then verifies balance
     and the permutation match.
     """
-    word = Word(word)
+    word = _as_word(word)
     if not word:
         return Filling({})
     v = pairing_permutation(word)  # raises unless the word is reduced
@@ -148,14 +150,24 @@ def word_to_tableau(word: Word) -> Filling:
 def tableau_to_word(f: Filling) -> Word:
     """The unique reduced word whose pairing permutation matches the
     tableau's, obtained by replaying the tableau's descent sequence
-    backwards from the super-Yamanouchi word."""
+    backwards on one letter list of the super-Yamanouchi word, in place."""
     if len(f) == 0:
         return Word()
     w = permutation_of_diagram(f.diagram)
     moves = descent_to_super(f)
-    word = super_word(w)
-    for move in reversed(moves):
-        word = move.on_word(word)
+    letters = list(super_word(w))
+    ell = len(letters)
+    for move in reversed(moves):  # commutation_move and braid_move, in place
+        s = ell - move.index  # display slot of letter i = move.index
+        if move.kind == "c":
+            b, a = letters[s - 1 : s + 1]  # letters i+1, i
+            if abs(a - b) > 1:
+                letters[s - 1 : s + 1] = a, b
+        else:
+            a, b, c = letters[s - 1 : s + 2]  # letters i+1, i, i-1
+            if a == c and abs(a - b) == 1:
+                letters[s - 1 : s + 2] = b, a, b
+    word = tuple.__new__(Word, letters)
     if pairing_permutation(word) != tab_permutation(f):
         raise RuntimeError(f"word transport failed for {f.to_text()}")
     return word

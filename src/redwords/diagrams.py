@@ -6,8 +6,9 @@ of English Young-tableau habits; every formula here assumes it.
 
 ``Diagram(...)``, ``Filling(...)`` and their ``from_text`` validate every
 input.  Values the package derives from valid ones are built unchecked: the
-Rothe diagram with ``object.__new__(Diagram)``, fillings (moves, enumeration,
-flip, complement, super, row-interval and reconstructed fillings) with
+Rothe diagram and a filling's with ``object.__new__(Diagram)``, a decoded
+permutation with ``tuple.__new__``, fillings (moves, enumeration, flip,
+complement, super, row-interval and reconstructed fillings) with
 ``_filling(cells, entries)``; use that form only where the cells are
 distinct, positive and in row-major order, and the entries positive, by
 construction.
@@ -116,7 +117,9 @@ class Filling:
 
     @property
     def diagram(self) -> Diagram:
-        return Diagram(self.cells)
+        d = object.__new__(Diagram)  # the cells are already canonical
+        d.cells = self.cells
+        return d
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -273,7 +276,7 @@ def permutation_of_diagram(d: Diagram) -> Permutation:
         if c >= len(available):
             raise ValueError("cell set is not the diagram of a permutation")
         entries.append(available.pop(c))
-    w = Permutation(entries)
+    w = tuple.__new__(Permutation, entries)  # a bijection on 1..n by construction
     if rothe_diagram(w) != d:
         raise ValueError("cell set is not the diagram of a permutation")
     return w

@@ -10,6 +10,7 @@ entry *values*, not cell positions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Iterable, Iterator, Sequence
 
 from .diagrams import (
@@ -171,14 +172,18 @@ def tab_inversions(f: Filling) -> int:
 def column_inversions(f: Filling) -> int:
     """Pairs i < j with i strictly above j in the same column; counts the
     Yang-Baxter moves on any minimal path to the super tableau."""
-    pos = f.positions()
     ell = len(f)
-    return sum(
-        1
-        for i in range(1, ell + 1)
-        for j in range(i + 1, ell + 1)
-        if pos[i][0] > pos[j][0] and pos[i][1] == pos[j][1]
-    )
+    if ell < 2:  # no pair, so no entry is looked up
+        return 0
+    pos = f.positions()
+    above: dict[int, list[int]] = {}  # column -> rows of the smaller entries
+    total = 0
+    for j in range(1, ell + 1):
+        r, c = pos[j]
+        rows = above.setdefault(c, [])
+        total += sum(1 for r2 in rows if r2 > r)
+        rows.append(r)
+    return total
 
 
 def tab_permutation(f: Filling) -> Permutation:
@@ -221,7 +226,8 @@ def reconstruct_from_row_multisets(
     Works top row down: the top row must be decreasing; in each lower row,
     filled left to right, a candidate entry is forced by requiring its count
     of smaller entries already placed above to equal the count of remaining
-    row entries that would exceed it.
+    row entries that would exceed it.  A column's placed entries all lie
+    above, so that count is a bisection of them, kept sorted.
     """
     occupied = sorted(d.rows())
     row_sets = [sorted(set_, reverse=True) for set_ in map(list, rows)]
@@ -239,22 +245,18 @@ def reconstruct_from_row_multisets(
             raise ValueError(f"row {r} needs {len(drows[r])} entries")
 
     entry_map: dict[Cell, int] = {}
+    columns: dict[int, list[int]] = {}  # column -> its placed entries, sorted
     for r, content in sorted(zip(occupied, row_sets), reverse=True):
         remaining = list(content)  # decreasing
         for c in drows[r]:
-            placed = None
-            for idx, candidate in enumerate(remaining):
-                above_smaller = sum(
-                    1
-                    for (r2, c2), e in entry_map.items()
-                    if c2 == c and r2 > r and e < candidate
-                )
-                if above_smaller == idx:
-                    placed = idx
-                    break
+            column = columns.setdefault(c, [])  # all above row r
+            placed = next(
+                (k for k, x in enumerate(remaining) if bisect_left(column, x) == k), None
+            )
             if placed is None:
                 return None
-            entry_map[(r, c)] = remaining.pop(placed)
+            entry_map[(r, c)] = e = remaining.pop(placed)
+            insort(column, e)
     return _filling(d.cells, tuple(entry_map[cell] for cell in d.cells))
 
 

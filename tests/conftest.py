@@ -163,6 +163,22 @@ def grid_edges(grid: dict, edges: list, make=lambda x: Word(x)):
     return [(make(grid[a]), make(grid[b]), label) for a, b, label in edges]
 
 
+def random_reduced_word(rng, n: int) -> Word:
+    """A reduced word of a random permutation of rank n, drawn with the
+    given ``random.Random``: shuffle 1..n, then sort it by adjacent swaps at
+    randomly chosen descents, recording each swap's position."""
+    v = list(range(1, n + 1))
+    rng.shuffle(v)
+    letters = []
+    while True:
+        descents = [i for i in range(1, n) if v[i - 1] > v[i]]
+        if not descents:
+            return Word(letters)
+        i = rng.choice(descents)
+        letters.append(i)
+        v[i - 1], v[i] = v[i], v[i - 1]
+
+
 # ---------------------------------------------------------------------------
 # Graph-search oracles over explicit edge lists; deliberately separate from
 # the library's graph module.

@@ -1,8 +1,10 @@
+import random
 from itertools import permutations as itertools_permutations
 
 import pytest
 
 from redwords import (
+    Diagram,
     Filling,
     Move,
     Permutation,
@@ -13,13 +15,19 @@ from redwords import (
     enumerate_reduced_words,
     enumerate_sbt,
     is_balanced,
+    pairing_permutation,
+    permutation_of_diagram,
     rothe_diagram,
     super_tableau,
     super_word,
     tab_inversions,
+    tab_permutation,
     tableau_to_word,
     verify_poset_isomorphism,
+    word_inversions,
+    word_to_permutation,
     word_to_tableau,
+    yang_baxter_count,
 )
 
 from redwords.bijection import match_by_permutation
@@ -31,6 +39,7 @@ from conftest import (
     WORD_GRID_42153,
     grid_edges,
     oracle_distance,
+    random_reduced_word,
     tableau_42153,
     tableau_4321,
 )
@@ -178,3 +187,50 @@ def test_descent_replays_through_public_moves(n):
                 assert advanced != t
                 t = advanced
             assert t == top
+
+
+def _reference_tableau_to_word(f):
+    """The transport as a fold of public word moves, one word per step."""
+    if len(f) == 0:
+        return Word()
+    word = super_word(permutation_of_diagram(Diagram(f.cells)))
+    for move in reversed(descent_to_super(f)):
+        word = move.on_word(word)
+    if pairing_permutation(word) != tab_permutation(f):
+        raise RuntimeError(f"word transport failed for {f.to_text()}")
+    return word
+
+
+def _transported(to_word, f):
+    try:
+        return to_word(f)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_tableau_to_word_matches_reference_on_every_standard_filling():
+    # the in-place replay must end every filling, balanced or not, exactly
+    # as the fold of public moves does
+    tally = {Word: 0, ValueError: 0, RuntimeError: 0}
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            cells = rothe_diagram(w).cells
+            for values in itertools_permutations(range(1, len(cells) + 1)):
+                f = Filling(zip(cells, values))
+                expected = _transported(_reference_tableau_to_word, f)
+                assert _transported(tableau_to_word, f) == expected
+                tally[Word if isinstance(expected, Word) else expected[0]] += 1
+    assert tally == {Word: 181, ValueError: 452, RuntimeError: 633}
+
+
+def test_seeded_round_trip_of_long_words():
+    rng = random.Random(7)
+    for n in range(7, 15):
+        for _ in range(2):
+            rho = random_reduced_word(rng, n)
+            t = word_to_tableau(rho)
+            assert word_to_tableau(list(rho)) == t
+            assert tableau_to_word(t) == _reference_tableau_to_word(t) == rho
+            assert tab_inversions(t) == word_inversions(rho)
+            super_rho = super_word(word_to_permutation(rho))
+            assert column_inversions(t) == yang_baxter_count(rho, super_rho)

@@ -125,6 +125,44 @@ def test_permutation_of_diagram_rejects_non_rothe():
         permutation_of_diagram(Diagram([(2, 1), (2, 2)]))
 
 
+def _reference_permutation_of_diagram(d):
+    """The decoding with a checked ``Permutation``."""
+    rows = d.rows()
+    n = max((r + len(cols) for r, cols in rows.items()), default=1)
+    available = list(range(1, n + 1))
+    entries = []
+    for r in range(1, n + 1):
+        c = len(rows.get(r, ()))
+        if c >= len(available):
+            raise ValueError("cell set is not the diagram of a permutation")
+        entries.append(available.pop(c))
+    w = Permutation(entries)
+    if rothe_diagram(w) != d:
+        raise ValueError("cell set is not the diagram of a permutation")
+    return w
+
+
+def _decoded(decode, d):
+    try:
+        return decode(d)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def test_permutation_of_diagram_matches_reference_on_every_cell_set():
+    box = [(r, c) for r in range(1, 4) for c in range(1, 4)]
+    decoded = 0
+    for mask in range(1 << len(box)):
+        cells = [cell for k, cell in enumerate(box) if mask >> k & 1]
+        d = Diagram(cells)
+        f = Filling({cell: k + 1 for k, cell in enumerate(reversed(cells))})
+        assert f.diagram == d
+        expected = _decoded(_reference_permutation_of_diagram, d)
+        assert _decoded(permutation_of_diagram, d) == expected
+        decoded += isinstance(expected, Permutation)
+    assert decoded == 34
+
+
 def test_diagram_text_round_trip():
     d = rothe_diagram(Permutation([4, 2, 1, 5, 3]))
     assert d.to_text() == "1,1;1,2;1,3;2,1;4,3"

@@ -1,3 +1,5 @@
+import random
+from itertools import combinations, product
 from itertools import permutations as itertools_permutations
 
 import pytest
@@ -24,7 +26,8 @@ from redwords import (
     tab_permutation,
 )
 
-from redwords.bijection import moves_for
+from redwords.bijection import moves_for, word_to_tableau
+from redwords.diagrams import _filling
 from redwords.tableaux import _iter_sbt
 
 from conftest import (
@@ -34,6 +37,7 @@ from conftest import (
     grid_edges,
     oracle_distance,
     oracle_min_braids,
+    random_reduced_word,
     tableau_42153,
     tableau_4321,
 )
@@ -358,3 +362,94 @@ def test_complements_reject_entries_above_the_cell_count():
         flip(Filling({(1, 1): 2}))
     with pytest.raises(ValueError):
         psi(Filling({(1, 1): 2}))
+
+
+def _reference_reconstruct(d, rows):
+    """Row reconstruction that rescans every placed entry per candidate."""
+    drows = d.rows()
+    entry_map = {}
+    for r, content in sorted(zip(sorted(drows), rows), reverse=True):
+        remaining = sorted(content, reverse=True)
+        for c in drows[r]:
+            placed = None
+            for idx, candidate in enumerate(remaining):
+                above_smaller = sum(
+                    1
+                    for (r2, c2), e in entry_map.items()
+                    if c2 == c and r2 > r and e < candidate
+                )
+                if above_smaller == idx:
+                    placed = idx
+                    break
+            if placed is None:
+                return None
+            entry_map[(r, c)] = remaining.pop(placed)
+    return Filling(entry_map)
+
+
+def _row_splits(values, sizes):
+    """Every split of the values into blocks of the given sizes, in order."""
+    if not sizes:
+        yield []
+        return
+    for block in combinations(values, sizes[0]):
+        rest = [v for v in values if v not in block]
+        for tail in _row_splits(rest, sizes[1:]):
+            yield [block] + tail
+
+
+def test_reconstruction_matches_reference_on_every_row_split():
+    tally = {True: 0, False: 0}
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            d = rothe_diagram(w)
+            sizes = [len(cols) for cols in d.rows().values()]
+            for blocks in _row_splits(range(1, len(d) + 1), sizes):
+                expected = _reference_reconstruct(d, blocks)
+                assert reconstruct_from_row_multisets(d, blocks) == expected
+                tally[expected is not None] += 1
+    # exactly the balanced tableaux reconstruct: one per reduced word
+    assert tally == {True: 1 + 2 + 7 + 66, False: 125}
+
+
+def _reference_column_inversions(f):
+    """The pairwise definition, over every pair of entry values."""
+    pos = f.positions()
+    ell = len(f)
+    return sum(
+        1
+        for i in range(1, ell + 1)
+        for j in range(i + 1, ell + 1)
+        if pos[i][0] > pos[j][0] and pos[i][1] == pos[j][1]
+    )
+
+
+def _counted(count, f):
+    try:
+        return count(f)
+    except KeyError as exc:
+        return KeyError, exc.args
+
+
+def test_column_inversions_match_pairwise_count():
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            cells = rothe_diagram(w).cells
+            for values in itertools_permutations(range(1, len(cells) + 1)):
+                f = Filling(zip(cells, values))
+                assert column_inversions(f) == _reference_column_inversions(f)
+            if len(cells) <= 3:  # entries that are not 1..ell: the same KeyError
+                for values in product(range(1, len(cells) + 2), repeat=len(cells)):
+                    f = _filling(cells, values)
+                    expected = _counted(_reference_column_inversions, f)
+                    assert _counted(column_inversions, f) == expected
+
+
+def test_kernels_match_references_on_seeded_long_tableaux():
+    rng = random.Random(11)
+    for n in range(7, 15):
+        t = word_to_tableau(random_reduced_word(rng, n))
+        rows = [[e for _, e in row] for row in t.rows().values()]
+        assert reconstruct_from_row_multisets(t.diagram, rows) == t
+        assert _reference_reconstruct(t.diagram, rows) == t
+        assert column_inversions(t) == _reference_column_inversions(t)
