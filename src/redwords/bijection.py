@@ -200,8 +200,13 @@ def match_by_permutation(
 def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
     """Exhaustive checks that matching by permutation is a bijection that
     preserves ranks, move edges, and the flip/reversal square."""
-    words = enumerate_reduced_words(w)
-    tableaux = enumerate_sbt(w)
+    return check_poset_isomorphism(w, enumerate_reduced_words(w), enumerate_sbt(w))
+
+
+def check_poset_isomorphism(
+    w: Permutation, words: Sequence[Word], tableaux: Sequence[Filling]
+) -> list[CheckResult]:
+    """``verify_poset_isomorphism`` on the already enumerated elements of w."""
     mapping = match_by_permutation(words, tableaux)
     results = [
         CheckResult(

@@ -206,9 +206,15 @@ def is_connected(g: MoveGraph) -> bool:
 def diameter(g: MoveGraph, w0_shortcut: bool = False) -> int:
     """Largest BFS distance between any two vertices.
 
-    With ``w0_shortcut`` (valid for the longest permutation only) the
-    all-pairs sweep is replaced by one BFS between the super element and
-    its complement, which attains the diameter.
+    Certified by BFS from the super element a and from the first vertex b
+    farthest from a: if d(a,x) + d(x,b) = d(a,b) for every x, the diameter
+    is d(a,b), as d(x,y) is at most d(x,a) + d(a,y) and d(x,b) + d(b,y),
+    which sum to 2 d(a,b).  Otherwise, or if a is not a vertex (an edited
+    JSON import), one BFS per vertex finds it.
+
+    With ``w0_shortcut`` (valid for the longest permutation only) it is one
+    BFS between the super element and its complement, which attain the
+    diameter by theorem; nothing is certified.
     """
     if w0_shortcut:
         if g.w != Permutation.longest(g.w.n):
@@ -217,6 +223,14 @@ def diameter(g: MoveGraph, w0_shortcut: bool = False) -> int:
         if g.model == "words":  # the word matched to the bottom tableau
             bottom = tableau_to_word(bottom)
         return bfs_distance(g, lookup_model(g.model).top(g.w), bottom)
+    a = g._index.get(lookup_model(g.model).top(g.w))
+    if a is not None:
+        da = _bfs(g, a)
+        if min(da) < 0:
+            raise ValueError("graph is not connected")
+        b = da.index(max(da))
+        if all(x + y == da[b] for x, y in zip(da, _bfs(g, b))):
+            return da[b]
     best = 0
     for source in range(len(g.vertices)):
         dist = _bfs(g, source)

@@ -229,13 +229,13 @@ def reconstruct_from_row_multisets(
     row entries that would exceed it.  A column's placed entries all lie
     above, so that count is a bisection of them, kept sorted.
     """
-    occupied = sorted(d.rows())
+    drows = d.rows()
+    occupied = sorted(drows)
     row_sets = [sorted(set_, reverse=True) for set_ in map(list, rows)]
     if len(row_sets) != len(occupied):
         raise ValueError(
             f"expected {len(occupied)} row multisets, got {len(row_sets)}"
         )
-    drows = d.rows()
     ell = len(d)
     flat = sorted(x for row in row_sets for x in row)
     if flat != list(range(1, ell + 1)):

@@ -5,14 +5,16 @@ for the staircase checks) and records the first counterexample.  All-pairs
 checks that grow quadratically in the word count are gated to rank 4 and
 reported as skipped above it.
 
-Three rules keep a run from doing the same work twice:
+Four rules keep a run from doing the same work twice:
 
 - each (w, model) is enumerated once, as the vertices of its move graph,
-  built once per run;
+  built once per run; the bijection checks read those vertex lists;
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, not by one search
   per vertex;
+- a move image equal to its source is not examined again; a vertex's rank
+  is read from its graph;
 - the super word of w is built once, by ``words.super_word``, which keeps
   it for the calls that follow on the same w; no check hands it on.
 """
@@ -102,18 +104,23 @@ def run_suite(n: int) -> list[CheckResult]:
 
     check("word_super_exists_unique", _sweep(n, super_unique))
 
+    def reduced_for(word: words.Word, w: Permutation) -> bool:
+        v = words.word_to_permutation(word, n)
+        return v == w and v.length == len(word)  # reduced iff as long as w
+
     def moves_closed(w: Permutation) -> str | None:
-        for rho in graph_of(w, "words").vertices:
-            ell = len(rho)
-            inv = words.word_inversions(rho)
-            for move in bijection.moves_for(ell):
+        g = graph_of(w, "words")
+        for rho, inv in zip(g.vertices, g.ranks):
+            stays = reduced_for(rho, w)
+            for move in bijection.moves_for(len(rho)):
                 out = move.on_word(rho)
+                if out == rho and stays:  # an unmoved image has its source's tests
+                    continue
                 if move.on_word(out) != rho:
                     return f"w={w} rho={rho} {move.label}: not an involution"
-                v = words.word_to_permutation(out, n)
-                if v != w or v.length != ell:  # not reduced unless its length is ell
+                if not reduced_for(out, w):
                     return f"w={w} rho={rho} {move.label}: left R(w)"
-                if out != rho and abs(words.word_inversions(out) - inv) != 1:
+                if abs(words.word_inversions(out) - inv) != 1:
                     return f"w={w} rho={rho} {move.label}: rank step != 1"
         return None
 
@@ -242,15 +249,18 @@ def run_suite(n: int) -> list[CheckResult]:
     check("tableau_super_balanced_rank_zero", _sweep(n, super_tab))
 
     def tab_moves(w: Permutation) -> str | None:
-        for t in graph_of(w, "tableaux").vertices:
-            inv = tableaux.tab_inversions(t)
+        g = graph_of(w, "tableaux")
+        for t, inv in zip(g.vertices, g.ranks):
+            balanced = tableaux.is_balanced(t)
             for move in bijection.moves_for(len(t)):
                 out = move.on_tableau(t)
+                if out == t and balanced:  # an unmoved image has its source's tests
+                    continue
                 if not tableaux.is_balanced(out):
                     return f"w={w} {move.label}: unbalanced image"
                 if move.on_tableau(out) != t:
                     return f"w={w} {move.label}: not an involution"
-                if out != t and abs(tableaux.tab_inversions(out) - inv) != 1:
+                if abs(tableaux.tab_inversions(out) - inv) != 1:
                     return f"w={w} {move.label}: rank step != 1"
         return None
 
@@ -314,14 +324,14 @@ def run_suite(n: int) -> list[CheckResult]:
                 return f"w={w} tableau={t.to_text()}: not an involution"
             ell = len(t)
             for i in range(1, ell):
-                if tableaux.flip(tableaux.tab_commutation(t, i)) != tableaux.tab_commutation(
-                    image, ell - i
-                ):
+                moved = tableaux.tab_commutation(t, i)
+                flipped = image if moved == t else tableaux.flip(moved)
+                if flipped != tableaux.tab_commutation(image, ell - i):
                     return f"w={w} tableau={t.to_text()}: commutation intertwine i={i}"
             for i in range(2, ell):
-                if tableaux.flip(tableaux.tab_braid(t, i)) != tableaux.tab_braid(
-                    image, ell - i + 1
-                ):
+                moved = tableaux.tab_braid(t, i)
+                flipped = image if moved == t else tableaux.flip(moved)
+                if flipped != tableaux.tab_braid(image, ell - i + 1):
                     return f"w={w} tableau={t.to_text()}: braid intertwine i={i}"
         return None
 
@@ -336,7 +346,8 @@ def run_suite(n: int) -> list[CheckResult]:
     check("word_and_tableau_counts_agree", _sweep(n, counts_agree))
 
     def isomorphism(w: Permutation) -> str | None:
-        for res in bijection.verify_poset_isomorphism(w):
+        gw, gt = graph_of(w, "words"), graph_of(w, "tableaux")
+        for res in bijection.check_poset_isomorphism(w, gw.vertices, gt.vertices):
             if not res.passed:
                 return f"{res.name}: {res.detail}"
         return None

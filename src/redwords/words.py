@@ -303,7 +303,7 @@ def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
         w_sigma = word_to_permutation(sigma, n)
         raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
     u = u_sigma * u_rho.inverse()
-    return u, sum(abs(rho.letter(i) - sigma.letter(u(i))) for i in range(1, len(rho) + 1))
+    return u, sum(abs(rho[-i] - sigma[-j]) for i, j in enumerate(u, 1))  # letter i is word[-i]
 
 
 def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) -> int:

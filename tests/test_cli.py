@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -158,6 +159,15 @@ def test_diameter_exact_and_formula_agree(capsys):
     assert shortcut == "7\n"
     _, as_json, _ = run_cli(capsys, "diameter", "--json", "-n", "4")
     assert json.loads(as_json) == {"diameter": 7}
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="rank-6 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_diameter_exact_at_rank_6_stress(capsys):
+    """The exact diameter, with no shortcut, finishes at rank 6."""
+    assert run_cli(capsys, "diameter", "-n", "6") == (0, "65\n", "")
 
 
 def test_biject_round_trip(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from collections import Counter, defaultdict
 
 import pytest
@@ -270,3 +271,79 @@ def test_lookup_model_rows():
         assert top in set(m.elements(w))
     with pytest.raises(ValueError, match="unknown model"):
         lookup_model("braids")
+
+
+def _all_pairs_diameter(g):
+    """The diameter as one plain BFS per source."""
+    from redwords.graphs import _bfs
+
+    return max((max(_bfs(g, source)) for source in range(len(g.vertices))), default=0)
+
+
+def _bfs_counted(monkeypatch):
+    """Count the graphs module's BFS runs from here on."""
+    from redwords import graphs
+
+    runs = []
+    honest = graphs._bfs
+
+    def counted(g, source):
+        runs.append(source)
+        return honest(g, source)
+
+    monkeypatch.setattr(graphs, "_bfs", counted)
+    return runs
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_certified_diameter_matches_all_pairs_over_s1_to_s4(model):
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            g = build_graph(w, model)
+            assert diameter(g) == _all_pairs_diameter(g), w
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+@pytest.mark.parametrize("w", ["2,4,3,1", "1,3,5,4,2"])
+def test_diameter_falls_back_to_the_sweep_without_a_certificate(monkeypatch, model, w):
+    g = build_graph(Permutation.from_text(w), model)
+    runs = _bfs_counted(monkeypatch)
+    value = diameter(g)
+    # the certificate's two runs, then one per vertex
+    assert len(runs) == 2 + len(g.vertices)
+    assert value == _all_pairs_diameter(g) == 2
+
+
+def test_diameter_of_a_graph_with_a_certificate_takes_two_runs(monkeypatch):
+    g = build_graph(Permutation.longest(4), "tableaux")
+    runs = _bfs_counted(monkeypatch)
+    assert diameter(g) == 7
+    assert len(runs) == 2
+
+
+def test_diameter_of_edited_imports():
+    payload = json.loads(to_json(build_graph(Permutation([3, 2, 1]), "words")))
+    assert len(payload["edges"]) == 1
+    payload["edges"] = []
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        diameter(graph_from_json(json.dumps(payload)))
+    # the super word renamed away: the sweep answers
+    payload = json.loads(to_json(build_graph(Permutation([4, 3, 2, 1]), "words")))
+    top = next(v for v in payload["vertices"] if v["rank"] == 0)
+    top["elem"] = "9,9,9,9,9,9"
+    g = graph_from_json(json.dumps(payload))
+    assert super_word(g.w) not in g.vertices
+    assert diameter(g) == _all_pairs_diameter(g) == 7
+    payload["vertices"] = payload["edges"] = []
+    assert diameter(graph_from_json(json.dumps(payload))) == 0
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="S_5 stress run; set REDWORDS_STRESS=1 to enable",
+)
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_certified_diameter_matches_all_pairs_over_s5_stress(model):
+    for w in all_permutations(5):
+        g = build_graph(w, model)
+        assert diameter(g) == _all_pairs_diameter(g), w

@@ -93,3 +93,41 @@ def test_cli_verify_exits_two_on_a_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "CHECK word_inversions_equal_bfs_distance: FAIL w=4,3,2,1 " in out
     assert out.splitlines()[-1].startswith("RESULT: FAIL")
+
+
+@pytest.mark.parametrize(
+    "module,name,check,ending",
+    [
+        (words, "word_inversions", "word_moves_involutive_rank_step", "rank step != 1"),
+        (tableaux, "tab_inversions", "tableau_moves_balanced_involutive", "rank step != 1"),
+        (tableaux, "is_balanced", "tableau_moves_balanced_involutive", "unbalanced image"),
+    ],
+    ids=["word_inversions", "tab_inversions", "is_balanced"],
+)
+def test_move_checks_detect_a_wrong_kernel(monkeypatch, module, name, check, ending):
+    _fault(monkeypatch, module, name)
+    if name == "is_balanced":  # _fault answers 2 there, still true: read only 1 as balanced
+        off_by_one = tableaux.is_balanced
+        monkeypatch.setattr(tableaux, "is_balanced", lambda t: off_by_one(t) == 1)
+    result = {r.name: r for r in run_suite(4)}[check]
+    assert not result.passed
+    assert result.detail.startswith("w=4,3,2,1 ")
+    assert result.detail.endswith(ending)
+
+
+def test_move_checks_examine_each_source(monkeypatch):
+    """An element that fails on its own is reported at its first unmoved
+    image, ahead of the neighbours that move onto it later in vertex order."""
+    w = Permutation([4, 3, 2, 1])
+    first_word = enumerate_reduced_words(w)[0]  # precedes all its neighbours
+    to_permutation, balanced = words.word_to_permutation, tableaux.is_balanced
+
+    def misplaced(word, *args):
+        v = to_permutation(word, *args)
+        return v.swap(1) if word == first_word else v
+
+    monkeypatch.setattr(words, "word_to_permutation", misplaced)
+    monkeypatch.setattr(tableaux, "is_balanced", lambda t: balanced(t) and t != super_tableau(w))
+    results = {r.name: r.detail for r in run_suite(4)}
+    assert results["word_moves_involutive_rank_step"] == "w=4,3,2,1 rho=1,2,1,3,2,1 c1: left R(w)"
+    assert results["tableau_moves_balanced_involutive"] == "w=4,3,2,1 c1: unbalanced image"
