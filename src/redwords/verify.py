@@ -1,9 +1,18 @@
 """Exhaustive brute-force verification over all of S_n.
 
-Each check sweeps every permutation of the given rank (or the longest one,
-for the staircase checks) and records the first counterexample.  All-pairs
-checks that grow quadratically in the word count are gated to rank 4 and
-reported as skipped above it.
+Every property checked is one of a single permutation w (and, for reversal
+and flip, of its inverse), so each check is a method of ``_Checks``, the
+context of one w, returning a counterexample detail or None.  ``CHECKS``
+names them in report order, looked up by name at each call.  The ``w0_``
+checks run only at the longest permutation; ``yang_baxter_pairwise_scope``
+is a tally for n <= 4 that always passes.
+
+``run_suite`` sweeps S_n once, one inversion orbit {w, w^-1} at a time from
+its lexicographically smaller member: it builds the orbit's move graphs,
+runs every check on each member, and lets the graphs go before the next
+orbit's are built.  Each check reports its lexicographically first
+counterexample: a failure replaces one recorded at a larger permutation,
+and a check is not run past its recorded failure.
 
 Four rules keep a run from doing the same work twice:
 
@@ -11,8 +20,8 @@ Four rules keep a run from doing the same work twice:
   built once per run; the bijection checks read those vertex lists;
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
-  ``graphs.shortest_paths`` pass from the super element, not by one search
-  per vertex;
+  ``graphs.shortest_paths`` pass from the super element, which every check
+  that asks it shares, not by one search per vertex;
 - a move image equal to its source is not examined again; a vertex's rank
   is read from its graph;
 - the super word of w is built once, by ``words.super_word``, which keeps
@@ -27,6 +36,37 @@ import math
 from . import bijection, diagrams, graphs, tableaux, words
 from .perms import Permutation, all_permutations
 from .report import CheckResult
+
+CHECKS = (
+    "perm_inverse_same_length",
+    "perm_longest_is_maximal",
+    "perm_swap_steps_length",
+    "word_super_exists_unique",
+    "word_moves_involutive_rank_step",
+    "word_inversions_equal_bfs_distance",
+    "word_pairing_identity_iff_super",
+    "word_reversal_inverts",
+    "naive_metric_agrees_at_super",
+    "yang_baxter_count_to_super",
+    "yang_baxter_pairwise_scope",
+    "diagram_shape_and_transpose",
+    "diagram_reading_word_is_super",
+    "tableau_super_balanced_rank_zero",
+    "tableau_moves_balanced_involutive",
+    "tableau_inversion_identity",
+    "tableau_inv_and_braids_by_bfs",
+    "tableau_row_sort_reconstruction",
+    "tableau_descent_sequence_counts",
+    "tableau_flip_involution_intertwines",
+    "word_and_tableau_counts_agree",
+    "bijection_poset_isomorphism",
+    "graph_connected_ranked",
+    "graph_models_isomorphic",
+    "w0_complement_reverses_rank",
+    "w0_diameter_formula",
+    "w0_distances_split_through_extremes",
+    "w0_count_matches_hook_formula",
+)
 
 
 def staircase_tableau_count(n: int) -> int:
@@ -47,170 +87,182 @@ def staircase_tableau_count(n: int) -> int:
     return math.factorial(boxes) // hooks
 
 
-def _sweep(n: int, predicate) -> str | None:
-    """First counterexample over S_n, or None."""
-    for w in all_permutations(n):
-        detail = predicate(w)
-        if detail is not None:
-            return detail
-    return None
-
-
 def run_suite(n: int) -> list[CheckResult]:
     """Run every brute-force check over S_n and report one line each."""
     if n < 1:
         raise ValueError("rank must be positive")
-    graph_of = functools.cache(graphs.build_graph)
-    results: list[CheckResult] = []
+    failures: dict[str, tuple[Permutation, str]] = {}  # name -> first failure
+    scope = [0, 0]  # pairs where the braid formula agrees, differs
+    for w in all_permutations(n):
+        if w <= w.inverse():
+            _check_orbit(w, n, failures, scope)
+    details = {name: detail for name, (_, detail) in failures.items()}
+    details["yang_baxter_pairwise_scope"] = (
+        f"formula matches the shortest-path braid count on {scope[0]} of "
+        f"{sum(scope)} pairs; {scope[1]} arbitrary pairs differ "
+        "(the formula is only exact toward the super word)"
+        if n <= 4
+        else f"skipped for n={n} > 4"
+    )
+    return [CheckResult(name, name not in failures, details.get(name)) for name in CHECKS]
 
-    def check(name: str, detail: str | None) -> None:
-        results.append(CheckResult(name, detail is None, detail))
+
+def _check_orbit(w: Permutation, n: int, failures: dict, scope: list[int]) -> None:
+    """Run the checks on w and its inverse, from one set of move graphs that
+    is released on return."""
+    members = dict.fromkeys((w, w.inverse()))  # one member for an involution
+    orbit = {(v, model): graphs.build_graph(v, model) for v in members for model in graphs.MODELS}
+    longest = Permutation.longest(n)
+    for v in members:
+        checks = _Checks(v, n, orbit, scope)
+        for name in CHECKS:
+            if name.startswith("w0_") and v != longest:
+                continue
+            if name in failures and failures[name][0] < v:
+                continue
+            detail = getattr(checks, name)()
+            if detail is not None:
+                failures[name] = (v, detail)
+
+
+class _Checks:
+    """The checks of one permutation w of S_n, each a method that returns a
+    counterexample detail or None, on the move graphs of w's orbit."""
+
+    def __init__(self, w: Permutation, n: int, orbit: dict, scope: list[int]):
+        self.w, self.n, self.orbit, self.scope = w, n, orbit, scope
+        self.word_graph, self.tableau_graph = orbit[w, "words"], orbit[w, "tableaux"]
+
+    @functools.cached_property
+    def word_paths(self) -> tuple[list[int], list[int]]:
+        """Distance and fewest braids from the super word, per vertex."""
+        return graphs.shortest_paths(self.word_graph, words.super_word(self.w))
+
+    @functools.cached_property
+    def tableau_paths(self) -> tuple[list[int], list[int]]:
+        """Distance and fewest braids from the super tableau, per vertex."""
+        return graphs.shortest_paths(self.tableau_graph, diagrams.super_tableau(self.w))
+
+    @functools.cached_property
+    def w0_extremes(self) -> tuple[list[int], list[int], int]:
+        """Distances from the super tableau and from its complement, and the
+        distance between the two."""
+        top = diagrams.super_tableau(self.w)
+        bottom = tableaux.psi(top) if len(top) else top
+        dtop = self.tableau_paths[0]
+        dbot, _ = graphs.shortest_paths(self.tableau_graph, bottom)
+        return dtop, dbot, dtop[self.tableau_graph.index_of(bottom)]
 
     # --- permutation basics -------------------------------------------------
-    check(
-        "perm_inverse_same_length",
-        _sweep(n, lambda w: None if w.length == w.inverse().length else f"w={w}"),
-    )
 
-    longest = Permutation.longest(n)
-    top_len = n * (n - 1) // 2
-    check(
-        "perm_longest_is_maximal",
-        None
-        if longest.length == top_len
-        and all(w.length < top_len for w in all_permutations(n) if w != longest)
-        else f"n={n}",
-    )
+    def perm_inverse_same_length(self) -> str | None:
+        return None if self.w.length == self.w.inverse().length else f"w={self.w}"
 
-    def swap_steps(w: Permutation) -> str | None:
-        for i in range(1, n):
+    def perm_longest_is_maximal(self) -> str | None:
+        top_len = self.n * (self.n - 1) // 2
+        if self.w == Permutation.longest(self.n):
+            maximal = self.w.length == top_len
+        else:
+            maximal = self.w.length < top_len
+        return None if maximal else f"n={self.n}"
+
+    def perm_swap_steps_length(self) -> str | None:
+        w = self.w
+        for i in range(1, self.n):
             if abs(w.swap(i).length - w.length) != 1:
                 return f"w={w} i={i}"
         return None
 
-    check("perm_swap_steps_length", None if n == 1 else _sweep(n, swap_steps))
-
     # --- words ---------------------------------------------------------------
-    def super_unique(w: Permutation) -> str | None:
+
+    def word_super_exists_unique(self) -> str | None:
+        w, n = self.w, self.n
         pi = words.super_word(w)
         if not words.is_reduced(pi, n):
             return f"w={w}: super word not reduced"
         if words.word_to_permutation(pi, n) != w:
             return f"w={w}: super word is for the wrong permutation"
-        supers = [r for r in graph_of(w, "words").vertices if words.is_super_yamanouchi(r)]
+        supers = [r for r in self.word_graph.vertices if words.is_super_yamanouchi(r)]
         if supers != [pi]:
             return f"w={w}: super words {supers}"
         return None
 
-    check("word_super_exists_unique", _sweep(n, super_unique))
+    def word_moves_involutive_rank_step(self) -> str | None:
+        w, n, g = self.w, self.n, self.word_graph
 
-    def reduced_for(word: words.Word, w: Permutation) -> bool:
-        v = words.word_to_permutation(word, n)
-        return v == w and v.length == len(word)  # reduced iff as long as w
+        def reduced_for_w(word: words.Word) -> bool:
+            v = words.word_to_permutation(word, n)
+            return v == w and v.length == len(word)  # reduced iff as long as w
 
-    def moves_closed(w: Permutation) -> str | None:
-        g = graph_of(w, "words")
         for rho, inv in zip(g.vertices, g.ranks):
-            stays = reduced_for(rho, w)
+            stays = reduced_for_w(rho)
             for move in bijection.moves_for(len(rho)):
                 out = move.on_word(rho)
                 if out == rho and stays:  # an unmoved image has its source's tests
                     continue
                 if move.on_word(out) != rho:
                     return f"w={w} rho={rho} {move.label}: not an involution"
-                if not reduced_for(out, w):
+                if not reduced_for_w(out):
                     return f"w={w} rho={rho} {move.label}: left R(w)"
                 if abs(words.word_inversions(out) - inv) != 1:
                     return f"w={w} rho={rho} {move.label}: rank step != 1"
         return None
 
-    check("word_moves_involutive_rank_step", _sweep(n, moves_closed))
-
-    def inv_is_distance(w: Permutation) -> str | None:
-        g = graph_of(w, "words")
-        pi = words.super_word(w)
-        dist, _ = graphs.shortest_paths(g, pi)
-        for rho, d in zip(g.vertices, dist):
+    def word_inversions_equal_bfs_distance(self) -> str | None:
+        dist, _ = self.word_paths
+        for rho, d in zip(self.word_graph.vertices, dist):
             if d != words.word_inversions(rho):
-                return f"w={w} rho={rho}"
+                return f"w={self.w} rho={rho}"
         return None
 
-    check("word_inversions_equal_bfs_distance", _sweep(n, inv_is_distance))
-
-    def pairing_identity(w: Permutation) -> str | None:
-        pi = words.super_word(w)
-        for rho in graph_of(w, "words").vertices:
+    def word_pairing_identity_iff_super(self) -> str | None:
+        pi = words.super_word(self.w)
+        for rho in self.word_graph.vertices:
             if not rho:
                 continue
             ident = words.pairing_permutation(rho) == Permutation.identity(len(rho))
             if ident != (rho == pi):
-                return f"w={w} rho={rho}"
+                return f"w={self.w} rho={rho}"
         return None
 
-    check("word_pairing_identity_iff_super", _sweep(n, pairing_identity))
-
-    def reversal(w: Permutation) -> str | None:
-        winv = w.inverse()
-        expected = set(graph_of(winv, "words").vertices)
-        for rho in graph_of(w, "words").vertices:
+    def word_reversal_inverts(self) -> str | None:
+        expected = set(self.orbit[self.w.inverse(), "words"].vertices)
+        for rho in self.word_graph.vertices:
             if rho.reverse() not in expected:
-                return f"w={w} rho={rho}"
+                return f"w={self.w} rho={rho}"
         return None
 
-    check("word_reversal_inverts", _sweep(n, reversal))
-
-    def naive_against_super(w: Permutation) -> str | None:
-        pi = words.super_word(w)
-        for rho in graph_of(w, "words").vertices:
-            if not rho:
-                continue
-            if words.naive_pair_inversions(rho, pi) != words.word_inversions(rho):
-                return f"w={w} rho={rho}"
+    def naive_metric_agrees_at_super(self) -> str | None:
+        pi = words.super_word(self.w)
+        for rho in self.word_graph.vertices:
+            if rho and words.naive_pair_inversions(rho, pi) != words.word_inversions(rho):
+                return f"w={self.w} rho={rho}"
         return None
 
-    check("naive_metric_agrees_at_super", _sweep(n, naive_against_super))
-
-    def yang_baxter_to_super(w: Permutation) -> str | None:
-        g = graph_of(w, "words")
-        pi = words.super_word(w)
-        _, braids = graphs.shortest_paths(g, pi)
-        for rho, b in zip(g.vertices, braids):
+    def yang_baxter_count_to_super(self) -> str | None:
+        pi = words.super_word(self.w)
+        _, braids = self.word_paths
+        for rho, b in zip(self.word_graph.vertices, braids):
             if rho and words.yang_baxter_count(rho, pi) != b:
-                return f"w={w} rho={rho}"
+                return f"w={self.w} rho={rho}"
         return None
 
-    check("yang_baxter_count_to_super", _sweep(n, yang_baxter_to_super))
-
-    # The pairwise braid-count formula is exact only toward the super word;
-    # between arbitrary pairs it can disagree with actual shortest paths.
-    # Measure the disagreement and report it instead of asserting.
-    if n <= 4:
-        agree = 0
-        differ = 0
-        for w in all_permutations(n):
-            g = graph_of(w, "words")
-            for k, rho in enumerate(g.vertices[:-1]):
-                _, braids = graphs.shortest_paths(g, rho)
-                for sigma, b in zip(g.vertices[k + 1 :], braids[k + 1 :]):
-                    if words.yang_baxter_count(rho, sigma) == b:
-                        agree += 1
-                    else:
-                        differ += 1
-        detail = (
-            f"formula matches the shortest-path braid count on {agree} of "
-            f"{agree + differ} pairs; {differ} arbitrary pairs differ "
-            "(the formula is only exact toward the super word)"
-        )
-        results.append(
-            CheckResult("yang_baxter_pairwise_scope", True, detail)
-        )
-    else:
-        results.append(
-            CheckResult("yang_baxter_pairwise_scope", True, f"skipped for n={n} > 4")
-        )
+    def yang_baxter_pairwise_scope(self) -> None:
+        """Tally, for n <= 4, the pairs of R(w) on which the braid-count
+        formula agrees with the shortest paths.  It is exact only toward the
+        super word, so a disagreement is counted, not reported."""
+        if self.n > 4:
+            return None
+        g = self.word_graph
+        for k, rho in enumerate(g.vertices[:-1]):
+            _, braids = graphs.shortest_paths(g, rho)
+            for sigma, b in zip(g.vertices[k + 1 :], braids[k + 1 :]):
+                self.scope[words.yang_baxter_count(rho, sigma) != b] += 1
 
     # --- diagrams -------------------------------------------------------------
-    def diagram_shape(w: Permutation) -> str | None:
+
+    def diagram_shape_and_transpose(self) -> str | None:
+        w = self.w
         d = diagrams.rothe_diagram(w)
         if len(d) != w.length:
             return f"w={w}: cells {len(d)} != length {w.length}"
@@ -220,23 +272,14 @@ def run_suite(n: int) -> list[CheckResult]:
             return f"w={w}: transpose mismatch"
         return None
 
-    check("diagram_shape_and_transpose", _sweep(n, diagram_shape))
-
-    check(
-        "diagram_reading_word_is_super",
-        _sweep(
-            n,
-            lambda w: None
-            if diagrams.reading_word(
-                diagrams.row_interval_filling(diagrams.rothe_diagram(w))
-            )
-            == words.super_word(w)
-            else f"w={w}",
-        ),
-    )
+    def diagram_reading_word_is_super(self) -> str | None:
+        filling = diagrams.row_interval_filling(diagrams.rothe_diagram(self.w))
+        return None if diagrams.reading_word(filling) == words.super_word(self.w) else f"w={self.w}"
 
     # --- tableaux ---------------------------------------------------------------
-    def super_tab(w: Permutation) -> str | None:
+
+    def tableau_super_balanced_rank_zero(self) -> str | None:
+        w = self.w
         t = diagrams.super_tableau(w)
         if not tableaux.is_balanced(t):
             return f"w={w}: super tableau unbalanced"
@@ -246,10 +289,8 @@ def run_suite(n: int) -> list[CheckResult]:
             return f"w={w}: super tableau permutation not identity"
         return None
 
-    check("tableau_super_balanced_rank_zero", _sweep(n, super_tab))
-
-    def tab_moves(w: Permutation) -> str | None:
-        g = graph_of(w, "tableaux")
+    def tableau_moves_balanced_involutive(self) -> str | None:
+        w, g = self.w, self.tableau_graph
         for t, inv in zip(g.vertices, g.ranks):
             balanced = tableaux.is_balanced(t)
             for move in bijection.moves_for(len(t)):
@@ -264,118 +305,96 @@ def run_suite(n: int) -> list[CheckResult]:
                     return f"w={w} {move.label}: rank step != 1"
         return None
 
-    check("tableau_moves_balanced_involutive", _sweep(n, tab_moves))
-
-    def tab_inv_formula(w: Permutation) -> str | None:
-        for t in graph_of(w, "tableaux").vertices:
+    def tableau_inversion_identity(self) -> str | None:
+        for t in self.tableau_graph.vertices:
             if not len(t):
                 continue
             lhs = tableaux.tab_inversions(t)
             rhs = tableaux.tab_permutation(t).length - tableaux.row_coinversions(t)
             if lhs != rhs:
-                return f"w={w} tableau={t.to_text()}"
+                return f"w={self.w} tableau={t.to_text()}"
         return None
 
-    check("tableau_inversion_identity", _sweep(n, tab_inv_formula))
-
-    def tab_inv_distance(w: Permutation) -> str | None:
-        g = graph_of(w, "tableaux")
-        dist, braids = graphs.shortest_paths(g, diagrams.super_tableau(w))
-        for t, d, b in zip(g.vertices, dist, braids):
+    def tableau_inv_and_braids_by_bfs(self) -> str | None:
+        dist, braids = self.tableau_paths
+        for t, d, b in zip(self.tableau_graph.vertices, dist, braids):
             if d != tableaux.tab_inversions(t):
-                return f"w={w} tableau={t.to_text()}"
+                return f"w={self.w} tableau={t.to_text()}"
             if b != tableaux.column_inversions(t):
-                return f"w={w} tableau={t.to_text()}: braid count"
+                return f"w={self.w} tableau={t.to_text()}: braid count"
         return None
 
-    check("tableau_inv_and_braids_by_bfs", _sweep(n, tab_inv_distance))
-
-    def reconstruct(w: Permutation) -> str | None:
-        d = diagrams.rothe_diagram(w)
-        for t in graph_of(w, "tableaux").vertices:
+    def tableau_row_sort_reconstruction(self) -> str | None:
+        d = diagrams.rothe_diagram(self.w)
+        for t in self.tableau_graph.vertices:
             rows = t.rows()
             contents = [[e for _, e in rows[r]] for r in sorted(rows)]
             if tableaux.reconstruct_from_row_multisets(d, contents) != t:
-                return f"w={w} tableau={t.to_text()}"
+                return f"w={self.w} tableau={t.to_text()}"
         return None
 
-    check("tableau_row_sort_reconstruction", _sweep(n, reconstruct))
-
-    def descent_lengths(w: Permutation) -> str | None:
-        for t in graph_of(w, "tableaux").vertices:
+    def tableau_descent_sequence_counts(self) -> str | None:
+        for t in self.tableau_graph.vertices:
             seq = bijection.descent_to_super(t)
             if len(seq) != tableaux.tab_inversions(t):
-                return f"w={w} tableau={t.to_text()}: length"
+                return f"w={self.w} tableau={t.to_text()}: length"
             braids = sum(1 for m in seq if m.kind == "b")
             if braids != tableaux.column_inversions(t):
-                return f"w={w} tableau={t.to_text()}: braid count"
+                return f"w={self.w} tableau={t.to_text()}: braid count"
         return None
 
-    check("tableau_descent_sequence_counts", _sweep(n, descent_lengths))
-
-    def flip_props(w: Permutation) -> str | None:
-        winv = w.inverse()
-        target = set(graph_of(winv, "tableaux").vertices)
-        for t in graph_of(w, "tableaux").vertices:
+    def tableau_flip_involution_intertwines(self) -> str | None:
+        target = set(self.orbit[self.w.inverse(), "tableaux"].vertices)
+        for t in self.tableau_graph.vertices:
             image = tableaux.flip(t)
             if image not in target:
-                return f"w={w} tableau={t.to_text()}: image not balanced for inverse"
+                return f"w={self.w} tableau={t.to_text()}: image not balanced for inverse"
             if tableaux.flip(image) != t:
-                return f"w={w} tableau={t.to_text()}: not an involution"
+                return f"w={self.w} tableau={t.to_text()}: not an involution"
             ell = len(t)
             for i in range(1, ell):
                 moved = tableaux.tab_commutation(t, i)
                 flipped = image if moved == t else tableaux.flip(moved)
                 if flipped != tableaux.tab_commutation(image, ell - i):
-                    return f"w={w} tableau={t.to_text()}: commutation intertwine i={i}"
+                    return f"w={self.w} tableau={t.to_text()}: commutation intertwine i={i}"
             for i in range(2, ell):
                 moved = tableaux.tab_braid(t, i)
                 flipped = image if moved == t else tableaux.flip(moved)
                 if flipped != tableaux.tab_braid(image, ell - i + 1):
-                    return f"w={w} tableau={t.to_text()}: braid intertwine i={i}"
+                    return f"w={self.w} tableau={t.to_text()}: braid intertwine i={i}"
         return None
 
-    check("tableau_flip_involution_intertwines", _sweep(n, flip_props))
-
     # --- counts and the bijection ---------------------------------------------
-    def counts_agree(w: Permutation) -> str | None:
-        n_words = len(graph_of(w, "words").vertices)
-        n_tableaux = len(graph_of(w, "tableaux").vertices)
-        return None if n_words == n_tableaux else f"w={w}: {n_words} vs {n_tableaux}"
 
-    check("word_and_tableau_counts_agree", _sweep(n, counts_agree))
+    def word_and_tableau_counts_agree(self) -> str | None:
+        n_words, n_tableaux = len(self.word_graph.vertices), len(self.tableau_graph.vertices)
+        return None if n_words == n_tableaux else f"w={self.w}: {n_words} vs {n_tableaux}"
 
-    def isomorphism(w: Permutation) -> str | None:
-        gw, gt = graph_of(w, "words"), graph_of(w, "tableaux")
-        for res in bijection.check_poset_isomorphism(w, gw.vertices, gt.vertices):
+    def bijection_poset_isomorphism(self) -> str | None:
+        gw, gt = self.word_graph, self.tableau_graph
+        for res in bijection.check_poset_isomorphism(self.w, gw.vertices, gt.vertices):
             if not res.passed:
                 return f"{res.name}: {res.detail}"
         return None
 
-    check("bijection_poset_isomorphism", _sweep(n, isomorphism))
-
     # --- graphs ------------------------------------------------------------------
-    def graph_checks(w: Permutation) -> str | None:
+
+    def graph_connected_ranked(self) -> str | None:
         for model in graphs.MODELS:
-            g = graph_of(w, model)
+            g = self.orbit[self.w, model]
             if not graphs.is_connected(g):
-                return f"w={w} {model}: disconnected"
+                return f"w={self.w} {model}: disconnected"
             for res in graphs.validate_ranked_poset(g):
                 if not res.passed:
-                    return f"w={w} {model} {res.name}: {res.detail}"
+                    return f"w={self.w} {model} {res.name}: {res.detail}"
         return None
 
-    check("graph_connected_ranked", _sweep(n, graph_checks))
-
-    def graphs_isomorphic(w: Permutation) -> str | None:
-        gw = graph_of(w, "words")
-        gt = graph_of(w, "tableaux")
+    def graph_models_isomorphic(self) -> str | None:
+        w, gw, gt = self.w, self.word_graph, self.tableau_graph
         mapping = bijection.match_by_permutation(gw.vertices, gt.vertices)
         if mapping is None:
             return f"w={w}: no bijection"
-        to_tab = {
-            gw.index_of(rho): gt.index_of(t) for rho, t in mapping.items()
-        }
+        to_tab = {gw.index_of(rho): gt.index_of(t) for rho, t in mapping.items()}
         word_edges = {
             (min(to_tab[u], to_tab[v]), max(to_tab[u], to_tab[v]), label)
             for u, v, label in gw.edges
@@ -387,58 +406,36 @@ def run_suite(n: int) -> list[CheckResult]:
                 return f"w={w}: rank mismatch at {rho}"
         return None
 
-    check("graph_models_isomorphic", _sweep(n, graphs_isomorphic))
+    # --- the longest permutation only ------------------------------------------
 
-    # --- longest permutation -----------------------------------------------------
-    g0 = graph_of(longest, "tableaux")
-    top = diagrams.super_tableau(longest)
-    bottom = tableaux.psi(top) if len(top) else top
-    expected = tableaux.min_inv_w0(n)
+    def w0_complement_reverses_rank(self) -> str | None:
+        expected = tableaux.min_inv_w0(self.n)
+        for t in self.tableau_graph.vertices:
+            if not len(t):
+                continue
+            image = tableaux.psi(t)
+            if tableaux.psi(image) != t:
+                return f"tableau={t.to_text()}: not an involution"
+            if tableaux.tab_inversions(t) + tableaux.tab_inversions(image) != expected:
+                return f"tableau={t.to_text()}: ranks do not complement"
+        return None
 
-    psi_fail = None
-    for t in g0.vertices:
-        if not len(t):
-            continue
-        image = tableaux.psi(t)
-        if tableaux.psi(image) != t:
-            psi_fail = f"tableau={t.to_text()}: not an involution"
-            break
-        if tableaux.tab_inversions(t) + tableaux.tab_inversions(image) != expected:
-            psi_fail = f"tableau={t.to_text()}: ranks do not complement"
-            break
-    check("w0_complement_reverses_rank", psi_fail)
+    def w0_diameter_formula(self) -> str | None:
+        expected = tableaux.min_inv_w0(self.n)
+        diam = graphs.diameter(self.tableau_graph)
+        if diam != expected:
+            return f"diameter {diam} != {expected}"
+        if self.w0_extremes[2] != expected:
+            return "extremes do not attain the diameter"
+        return None
 
-    dtop, _ = graphs.shortest_paths(g0, top)
-    dbot, _ = graphs.shortest_paths(g0, bottom)
-    span = dtop[g0.index_of(bottom)]
+    def w0_distances_split_through_extremes(self) -> str | None:
+        dtop, dbot, span = self.w0_extremes
+        for k, (up, down) in enumerate(zip(dtop, dbot)):
+            if up + down != span:
+                return f"vertex {k}"
+        return None
 
-    diam_detail = None
-    diam = graphs.diameter(g0)
-    if diam != expected:
-        diam_detail = f"diameter {diam} != {expected}"
-    elif span != expected:
-        diam_detail = "extremes do not attain the diameter"
-    check("w0_diameter_formula", diam_detail)
-
-    dist_split = None
-    for k in range(len(g0.vertices)):
-        if dtop[k] + dbot[k] != span:
-            dist_split = f"vertex {k}"
-            break
-    check("w0_distances_split_through_extremes", dist_split)
-
-    n_w0 = len(graph_of(longest, "words").vertices)
-    check(
-        "w0_count_matches_hook_formula",
-        None
-        if n_w0 == staircase_tableau_count(n)
-        else f"{n_w0} != {staircase_tableau_count(n)}",
-    )
-
-    return results
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()
+    def w0_count_matches_hook_formula(self) -> str | None:
+        n_w0, expected = len(self.word_graph.vertices), staircase_tableau_count(self.n)
+        return None if n_w0 == expected else f"{n_w0} != {expected}"

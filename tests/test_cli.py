@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -263,6 +264,36 @@ def test_verify_json(capsys):
     assert payload["n"] == 2
     assert payload["passed"] is True
     assert all(check["passed"] for check in payload["checks"])
+
+
+# sha256 of `verify --json -n k` stdout: the report's names, order, verdicts
+# and details are pinned byte for byte, however the suite is organised.
+VERIFY_JSON_SHA256 = {
+    1: "c810678db23e028f50021165525a69113dfab0c4ec0db0978f119eddcfce32d7",
+    2: "ca5eec909db1b5a62b299a73d369a68b956d56ae1766efd96a0ee379cd8adb4a",
+    3: "feca7c592058363e3d9fb4886f8d9f7b8f5fa14c66d2a16dd07997e5a94d77a2",
+    4: "85a6346e26612107521edfd85ae1b81237ef61d0bf0962f1efb64d9d0194078f",
+    5: "44fa35daa807439dfb895924962556a54eea2a8486351e6f34d663529cf2717d",
+}
+
+
+def _verify_json_digest(capsys, n):
+    code, out, _ = run_cli(capsys, "verify", "--json", "-n", str(n))
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_json_is_pinned(capsys, n):
+    assert _verify_json_digest(capsys, n) == VERIFY_JSON_SHA256[n]
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="rank-5 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_verify_json_is_pinned_at_rank_5_stress(capsys):
+    assert _verify_json_digest(capsys, 5) == VERIFY_JSON_SHA256[5]
 
 
 def test_malformed_input_exits_one(capsys):

@@ -1,4 +1,5 @@
 import time
+import weakref
 
 import pytest
 
@@ -6,8 +7,10 @@ from redwords import (
     CheckResult,
     Permutation,
     all_passed,
+    all_permutations,
     enumerate_reduced_words,
     enumerate_sbt,
+    graphs,
     run_suite,
     staircase_tableau_count,
     super_tableau,
@@ -131,3 +134,40 @@ def test_move_checks_examine_each_source(monkeypatch):
     results = {r.name: r.detail for r in run_suite(4)}
     assert results["word_moves_involutive_rank_step"] == "w=4,3,2,1 rho=1,2,1,3,2,1 c1: left R(w)"
     assert results["tableau_moves_balanced_involutive"] == "w=4,3,2,1 c1: unbalanced image"
+
+
+def test_suite_reports_the_lexicographically_first_counterexample(monkeypatch):
+    """3,1,4,2 is checked early, beside 2,4,1,3, the smaller member of its
+    inverse pair; 2,4,3,1 is checked later but comes first in lexicographic
+    order, so its counterexample is the one reported."""
+    targets = set()
+    for entries in ([3, 1, 4, 2], [2, 4, 3, 1]):
+        w = Permutation(entries)
+        targets.add(next(r for r in enumerate_reduced_words(w) if r != super_word(w)))
+    honest = words.word_inversions
+    monkeypatch.setattr(
+        words, "word_inversions", lambda rho, *a, **k: honest(rho, *a, **k) + (rho in targets)
+    )
+    result = {r.name: r for r in run_suite(4)}["word_inversions_equal_bfs_distance"]
+    assert not result.passed
+    assert result.detail == "w=2,4,3,1 rho=2,3,2,1"
+
+
+def test_suite_builds_each_graph_once_and_holds_one_inverse_pair(monkeypatch):
+    """One move graph per (w, model), and no more than the four graphs of w
+    and its inverse alive whenever a build returns."""
+    honest = graphs.build_graph
+    built, alive = [], []
+
+    def tracked(w, model, *args, **kwargs):
+        g = honest(w, model, *args, **kwargs)
+        built.append(((w, model), weakref.ref(g)))
+        alive.append(sum(ref() is not None for _, ref in built))
+        return g
+
+    monkeypatch.setattr(graphs, "build_graph", tracked)
+    assert all_passed(run_suite(4))
+    keys = sorted(key for key, _ in built)
+    assert keys == sorted((w, model) for w in all_permutations(4) for model in graphs.MODELS)
+    assert len(keys) == 48
+    assert max(alive) <= 4
