@@ -15,18 +15,14 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .diagrams import Filling, permutation_of_diagram, rothe_diagram, super_tableau
+from .diagrams import Filling, permutation_of_diagram, rothe_diagram
 from .perms import Permutation
-from .report import CheckResult
 from .tableaux import (
     _braidable,
-    enumerate_sbt,
-    flip,
     is_balanced,
     reconstruct_from_row_multisets,
     tab_braid,
     tab_commutation,
-    tab_inversions,
     tab_permutation,
 )
 from .words import (
@@ -34,10 +30,8 @@ from .words import (
     _as_word,
     braid_move,
     commutation_move,
-    enumerate_reduced_words,
     pairing_permutation,
     super_word,
-    word_inversions,
     word_to_permutation,
 )
 
@@ -196,62 +190,3 @@ def match_by_permutation(
         return None
     return mapping
 
-
-def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
-    """Exhaustive checks that matching by permutation is a bijection that
-    preserves ranks, move edges, and the flip/reversal square."""
-    return check_poset_isomorphism(w, enumerate_reduced_words(w), enumerate_sbt(w))
-
-
-def check_poset_isomorphism(
-    w: Permutation, words: Sequence[Word], tableaux: Sequence[Filling]
-) -> list[CheckResult]:
-    """``verify_poset_isomorphism`` on the already enumerated elements of w."""
-    mapping = match_by_permutation(words, tableaux)
-    results = [
-        CheckResult(
-            "perm_matching_bijection",
-            mapping is not None and len(words) == len(tableaux),
-            None if mapping is not None else f"w={w}",
-        )
-    ]
-    if mapping is None:
-        return results
-
-    bad_rank = next(
-        (
-            rho
-            for rho, t in mapping.items()
-            if word_inversions(rho) != tab_inversions(t)
-        ),
-        None,
-    )
-    results.append(
-        CheckResult(
-            "rank_preserved",
-            bad_rank is None,
-            None if bad_rank is None else f"w={w} word={bad_rank}",
-        )
-    )
-
-    edge_fail = None
-    for rho, t in mapping.items():
-        for move in moves_for(len(rho)):
-            rho2 = move.on_word(rho)
-            t2 = move.on_tableau(t)
-            if (rho2 == rho) != (t2 == t) or (rho2 != rho and mapping[rho2] != t2):
-                edge_fail = f"w={w} word={rho} move={move.label}"
-                break
-        if edge_fail:
-            break
-    results.append(CheckResult("edges_correspond", edge_fail is None, edge_fail))
-
-    square_fail = None
-    for rho, t in mapping.items():
-        if word_to_tableau(rho.reverse()) != flip(t):
-            square_fail = f"w={w} word={rho}"
-            break
-    results.append(
-        CheckResult("flip_matches_reversal", square_fail is None, square_fail)
-    )
-    return results

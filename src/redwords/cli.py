@@ -207,17 +207,18 @@ def _build_parser() -> _Parser:
         help="machine-readable output",
     )
 
+    # The permutation and model of the commands that work on one element.
+    element = argparse.ArgumentParser(add_help=False)
+    element.add_argument("-w", required=True, help="permutation, e.g. 4,2,1,5,3")
+    element.add_argument("--model", choices=tuple(MODELS), default="words")
+
     parser = _Parser(prog="redwords", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list R(w) or the balanced tableaux of w")
-    p.add_argument("-w", required=True, help="permutation, e.g. 4,2,1,5,3")
-    p.add_argument("--model", choices=tuple(MODELS), default="words")
+    p = sub.add_parser("enumerate", parents=[common, element], help="list R(w) or the balanced tableaux of w")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("super", parents=[common], help="the super-Yamanouchi word or tableau")
-    p.add_argument("-w", required=True)
-    p.add_argument("--model", choices=tuple(MODELS), default="words")
+    p = sub.add_parser("super", parents=[common, element], help="the super-Yamanouchi word or tableau")
     p.set_defaults(func=_cmd_super)
 
     p = sub.add_parser("inv", parents=[common], help="inversion number, permutation, Yang-Baxter count")
@@ -226,9 +227,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--tableau", help="file holding a tableau text form")
     p.set_defaults(func=_cmd_inv)
 
-    p = sub.add_parser("dist", parents=[common], help="BFS distance and minimum braid count")
-    p.add_argument("-w", required=True)
-    p.add_argument("--model", choices=tuple(MODELS), default="words")
+    p = sub.add_parser("dist", parents=[common, element], help="BFS distance and minimum braid count")
     p.add_argument("--from", dest="src", required=True, help="start element text form")
     p.add_argument("--to", dest="dst", required=True, help="end element text form")
     p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
@@ -239,7 +238,7 @@ def _build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="build the graph and measure (default)")
     mode.add_argument("--formula", action="store_true", help="closed form, no graph")
-    p.add_argument(
+    mode.add_argument(
         "--shortcut",
         action="store_true",
         help="measure only between the super element and its complement",
@@ -261,9 +260,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tableau", required=True)
     p.set_defaults(func=_cmd_tableau_map, tableau_map=psi)
 
-    p = sub.add_parser("graph", parents=[common], help="export the move graph")
-    p.add_argument("-w", required=True)
-    p.add_argument("--model", choices=tuple(MODELS), default="words")
+    p = sub.add_parser("graph", parents=[common, element], help="export the move graph")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("-o", "--output")
     p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)

@@ -87,7 +87,10 @@ class Diagram:
             parts = chunk.split(",")
             if len(parts) != 2:
                 raise ValueError(f"malformed cell {chunk!r}")
-            cells.append((int(parts[0]), int(parts[1])))
+            try:
+                cells.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise ValueError(f"malformed diagram text: {text!r}") from None
         return cls(cells)
 
 
@@ -157,6 +160,8 @@ class Filling:
             f"{r},{c},{e}" for (r, c), e in zip(self.cells, self.entries)
         )
 
+    __str__ = to_text
+
     @classmethod
     def from_text(cls, text: str) -> "Filling":
         text = text.strip()
@@ -167,7 +172,10 @@ class Filling:
             parts = chunk.split(",")
             if len(parts) != 3:
                 raise ValueError(f"malformed filling cell {chunk!r}")
-            items.append(((int(parts[0]), int(parts[1])), int(parts[2])))
+            try:
+                items.append(((int(parts[0]), int(parts[1])), int(parts[2])))
+            except ValueError:
+                raise ValueError(f"malformed filling text: {text!r}") from None
         return cls(items)
 
     def render(self) -> str:

@@ -14,10 +14,13 @@ orbit's are built.  Each check reports its lexicographically first
 counterexample: a failure replaces one recorded at a larger permutation,
 and a check is not run past its recorded failure.
 
-Four rules keep a run from doing the same work twice:
+Five rules keep a run from doing the same work twice:
 
 - each (w, model) is enumerated once, as the vertices of its move graph,
   built once per run; the bijection checks read those vertex lists;
+- the words of w are matched with its tableaux once, by
+  ``bijection.match_by_permutation`` over those two vertex lists, and both
+  correspondence checks read that one matching;
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, which every check
@@ -87,6 +90,55 @@ def staircase_tableau_count(n: int) -> int:
     return math.factorial(boxes) // hooks
 
 
+def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
+    """Exhaustive checks that matching by permutation is a bijection that
+    preserves ranks, move edges, and the flip/reversal square."""
+    matching = bijection.match_by_permutation(
+        words.enumerate_reduced_words(w), tableaux.enumerate_sbt(w)
+    )
+    return _poset_isomorphism(w, matching)
+
+
+def _poset_isomorphism(w: Permutation, matching: dict | None) -> list[CheckResult]:
+    """``verify_poset_isomorphism`` on a matching of w's words with its
+    tableaux, None when there is no bijection."""
+    if matching is None:
+        return [CheckResult("perm_matching_bijection", False, f"w={w}")]
+    rank_fail = next(
+        (
+            f"w={w} word={rho}"
+            for rho, t in matching.items()
+            if words.word_inversions(rho) != tableaux.tab_inversions(t)
+        ),
+        None,
+    )
+    edge_fail = next(_edge_failures(w, matching), None)
+    square_fail = next(
+        (
+            f"w={w} word={rho}"
+            for rho, t in matching.items()
+            if bijection.word_to_tableau(rho.reverse()) != tableaux.flip(t)
+        ),
+        None,
+    )
+    return [
+        CheckResult("perm_matching_bijection", True),
+        CheckResult("rank_preserved", rank_fail is None, rank_fail),
+        CheckResult("edges_correspond", edge_fail is None, edge_fail),
+        CheckResult("flip_matches_reversal", square_fail is None, square_fail),
+    ]
+
+
+def _edge_failures(w: Permutation, matching: dict):
+    """A detail for each move that the matching does not carry from a word
+    to its tableau."""
+    for rho, t in matching.items():
+        for move in bijection.moves_for(len(rho)):
+            rho2, t2 = move.on_word(rho), move.on_tableau(t)
+            if (rho2 == rho) != (t2 == t) or (rho2 != rho and matching[rho2] != t2):
+                yield f"w={w} word={rho} move={move.label}"
+
+
 def run_suite(n: int) -> list[CheckResult]:
     """Run every brute-force check over S_n and report one line each."""
     if n < 1:
@@ -142,6 +194,12 @@ class _Checks:
     def tableau_paths(self) -> tuple[list[int], list[int]]:
         """Distance and fewest braids from the super tableau, per vertex."""
         return graphs.shortest_paths(self.tableau_graph, diagrams.super_tableau(self.w))
+
+    @functools.cached_property
+    def matching(self) -> dict | None:
+        """Each word of w paired with the tableau of the same permutation;
+        None when that is not a bijection."""
+        return bijection.match_by_permutation(self.word_graph.vertices, self.tableau_graph.vertices)
 
     @functools.cached_property
     def w0_extremes(self) -> tuple[list[int], list[int], int]:
@@ -371,8 +429,7 @@ class _Checks:
         return None if n_words == n_tableaux else f"w={self.w}: {n_words} vs {n_tableaux}"
 
     def bijection_poset_isomorphism(self) -> str | None:
-        gw, gt = self.word_graph, self.tableau_graph
-        for res in bijection.check_poset_isomorphism(self.w, gw.vertices, gt.vertices):
+        for res in _poset_isomorphism(self.w, self.matching):
             if not res.passed:
                 return f"{res.name}: {res.detail}"
         return None
@@ -390,8 +447,7 @@ class _Checks:
         return None
 
     def graph_models_isomorphic(self) -> str | None:
-        w, gw, gt = self.w, self.word_graph, self.tableau_graph
-        mapping = bijection.match_by_permutation(gw.vertices, gt.vertices)
+        w, gw, gt, mapping = self.w, self.word_graph, self.tableau_graph, self.matching
         if mapping is None:
             return f"w={w}: no bijection"
         to_tab = {gw.index_of(rho): gt.index_of(t) for rho, t in mapping.items()}

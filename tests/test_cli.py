@@ -308,6 +308,29 @@ def test_malformed_input_exits_one(capsys):
     assert code == 1
 
 
+def test_unknown_tableau_is_shown_as_typed(capsys):
+    code, _, err = run_cli(
+        capsys, "dist", "-w", "2,1", "--model", "tableaux", "--from", "1,1,1", "--to", "1,1,2"
+    )
+    assert code == 1
+    assert "vertex not in graph: 1,1,2" in err
+
+
+def test_malformed_tableau_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "tableau.txt"
+    path.write_text("1,x,1")
+    code, _, err = run_cli(capsys, "inv", "--tableau", str(path))
+    assert code == 1
+    assert "malformed filling text: '1,x,1'" in err
+
+
+def test_diameter_shortcut_excludes_formula(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["diameter", "-n", "4", "--formula", "--shortcut"])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])  # missing -w

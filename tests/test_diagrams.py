@@ -172,6 +172,15 @@ def test_diagram_text_round_trip():
         Diagram.from_text("1,2,3")
 
 
+def test_text_forms_name_a_malformed_field():
+    with pytest.raises(ValueError, match="malformed diagram text: '1,x'"):
+        Diagram.from_text("1,x")
+    with pytest.raises(ValueError, match="malformed filling text: '1,1,x'"):
+        Filling.from_text("1,1,x")
+    st5 = super_tableau(Permutation([4, 2, 1, 5, 3]))
+    assert str(st5) == st5.to_text()
+
+
 def test_filling_text_round_trip():
     st5 = super_tableau(Permutation([4, 2, 1, 5, 3]))
     assert st5.to_text() == "1,1,3;1,2,2;1,3,1;2,1,4;4,3,5"

@@ -7,7 +7,9 @@ from redwords import (
     CheckResult,
     Permutation,
     all_passed,
+    Word,
     all_permutations,
+    bijection,
     enumerate_reduced_words,
     enumerate_sbt,
     graphs,
@@ -171,3 +173,98 @@ def test_suite_builds_each_graph_once_and_holds_one_inverse_pair(monkeypatch):
     assert keys == sorted((w, model) for w in all_permutations(4) for model in graphs.MODELS)
     assert len(keys) == 48
     assert max(alive) <= 4
+
+
+W0_4 = Permutation([4, 3, 2, 1])
+
+
+def _rematch(change):
+    """A fault that passes the matching of 4,3,2,1 made by
+    ``bijection.match_by_permutation`` through change."""
+
+    def install(monkeypatch):
+        honest, top = bijection.match_by_permutation, super_word(W0_4)
+
+        def faulty(word_list, tableau_list):
+            mapping = honest(word_list, tableau_list)
+            return change(mapping) if top in word_list else mapping
+
+        monkeypatch.setattr(bijection, "match_by_permutation", faulty)
+
+    return install
+
+
+def _swap(a, b):
+    """Exchange the tableaux matched to the words a and b."""
+    a, b = Word.from_text(a), Word.from_text(b)
+
+    def change(mapping):
+        mapping[a], mapping[b] = mapping[b], mapping[a]
+        return mapping
+
+    return change
+
+
+def _flip_one_reversal(monkeypatch):
+    """word_to_tableau answers the flip of its tableau for the reversal of
+    1,3,2,1,3,2."""
+    honest, target = bijection.word_to_tableau, Word([1, 3, 2, 1, 3, 2]).reverse()
+    monkeypatch.setattr(
+        bijection,
+        "word_to_tableau",
+        lambda rho: tableaux.flip(honest(rho)) if rho == target else honest(rho),
+    )
+
+
+CORRESPONDENCE_FAULTS = {
+    "no_matching": (
+        _rematch(lambda mapping: None),
+        {
+            "bijection_poset_isomorphism": "perm_matching_bijection: w=4,3,2,1",
+            "graph_models_isomorphic": "w=4,3,2,1: no bijection",
+        },
+    ),
+    "first_and_last_swapped": (
+        _rematch(_swap("1,2,1,3,2,1", "3,2,3,1,2,3")),
+        {
+            "bijection_poset_isomorphism": "rank_preserved: w=4,3,2,1 word=1,2,1,3,2,1",
+            "graph_models_isomorphic": "w=4,3,2,1: edge sets differ",
+        },
+    ),
+    "equal_ranks_swapped": (
+        _rematch(_swap("1,2,1,3,2,1", "1,2,3,2,1,2")),
+        {
+            "bijection_poset_isomorphism": "edges_correspond: w=4,3,2,1 word=1,2,1,3,2,1 move=c3",
+        },
+    ),
+    "reversal_flipped": (
+        _flip_one_reversal,
+        {"bijection_poset_isomorphism": "flip_matches_reversal: w=4,3,2,1 word=1,3,2,1,3,2"},
+    ),
+    "graph_rank": (
+        lambda monkeypatch: _fault(monkeypatch, graphs, "tab_inversions"),
+        {"graph_models_isomorphic": "w=4,3,2,1: rank mismatch at 2,3,2,1,2,3"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", CORRESPONDENCE_FAULTS)
+def test_correspondence_checks_report_a_faulty_matching(monkeypatch, fault):
+    install, expected = CORRESPONDENCE_FAULTS[fault]
+    install(monkeypatch)
+    results = {r.name: r for r in run_suite(4)}
+    for check, detail in expected.items():
+        assert not results[check].passed
+        assert results[check].detail == detail
+
+
+def test_suite_matches_each_permutation_once(monkeypatch):
+    honest, calls = bijection.match_by_permutation, []
+
+    def counted(word_list, tableau_list):
+        calls.append(word_list)
+        return honest(word_list, tableau_list)
+
+    monkeypatch.setattr(bijection, "match_by_permutation", counted)
+    assert all_passed(run_suite(4))
+    assert len(calls) == 24
