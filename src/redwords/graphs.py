@@ -9,6 +9,7 @@ by structural hashing.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import deque
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
@@ -59,29 +60,34 @@ def lookup_model(name: str) -> Model:
 
 class MoveGraph:
     """Undirected simple graph whose edges are single nontrivial moves,
-    with a rank (inversion number) per vertex."""
+    with a rank (inversion number) per vertex.
+
+    ``table`` is the move table: for move slot m of ``moves_for(w.length)``
+    (c1..c(ell-1), then b2..b(ell-1)), ``table[m * len(vertices) + k]`` is
+    the index of that move's image of vertex k, or k when the move leaves it
+    unchanged.  ``build_graph`` and ``graph_from_json`` fill it together
+    with the edges and each vertex's neighbour list.
+    """
 
     def __init__(
         self,
         model: str,
         w: Permutation,
         vertices: Iterable[Vertex],
-        edges: Iterable[tuple[int, int, str]],
         ranks: Iterable[int],
+        index: dict[Vertex, int],
+        table: array,
+        edges: Iterable[tuple[int, int, str]],
+        adjacency: list[list[tuple[int, bool]]],
     ):
         self.model = model
         self.w = w
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
-        self.edges: tuple[tuple[int, int, str], ...] = tuple(edges)
         self.ranks: tuple[int, ...] = tuple(ranks)
-        self._index = {v: k for k, v in enumerate(self.vertices)}
-        self._adjacency: list[list[tuple[int, bool]]] = [
-            [] for _ in self.vertices
-        ]
-        for u, v, label in self.edges:
-            braid = label.startswith("b")
-            self._adjacency[u].append((v, braid))
-            self._adjacency[v].append((u, braid))
+        self.table = table
+        self.edges: tuple[tuple[int, int, str], ...] = tuple(edges)
+        self._index = index
+        self._adjacency = adjacency
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,6 +97,7 @@ class MoveGraph:
             and self.vertices == other.vertices
             and self.edges == other.edges
             and self.ranks == other.ranks
+            and self.table == other.table
         )
 
     def __repr__(self) -> str:
@@ -109,6 +116,12 @@ class MoveGraph:
         return self._adjacency[idx]
 
 
+def _blank(size: int, moves: int) -> tuple[array, list[list[tuple[int, bool]]]]:
+    """A move table in which every move fixes each of ``size`` vertices, and
+    as many empty neighbour lists."""
+    return array("i", range(size)) * moves, [[] for _ in range(size)]
+
+
 def build_graph(
     w: Permutation,
     model: str = "words",
@@ -118,7 +131,9 @@ def build_graph(
 
     Refuses to enumerate past ``max_vertices``.  Edge labels carry the
     right-to-left index (words) or entry value (tableaux) of the move, so
-    the two models are comparable under the matching bijection.
+    the two models are comparable under the matching bijection.  Each move
+    is applied once to each vertex; its image fills the move table and,
+    from the lower end, the edge list and both ends' neighbour lists.
     """
     m = lookup_model(model)
     vertices: list[Vertex] = []
@@ -131,19 +146,31 @@ def build_graph(
     vertices.sort(key=m.order)
     ranks = [m.rank(element) for element in vertices]
 
+    size = len(vertices)
     index = {v: k for k, v in enumerate(vertices)}
-    # Every element has length(w) letters or cells, and every move is an
-    # involution, so each edge is recorded once, from its lower end.
-    moves = [(getattr(move, m.act), move.label) for move in moves_for(w.length)]
+    moves = [
+        (getattr(move, m.act), move.kind == "b", move.label, slot * size)
+        for slot, move in enumerate(moves_for(w.length))
+    ]
+    table, adjacency = _blank(size, len(moves))
     edges: list[tuple[int, int, str]] = []
     for k, element in enumerate(vertices):
-        for act, label in moves:
+        for act, braid, label, base in moves:
             other = act(element)
             if other is not element:
-                j = index[other]
-                if k < j:
+                try:
+                    j = index[other]
+                except KeyError:
+                    raise ValueError(
+                        f"move {label} takes {element} to {other}, which is not an element of {w}"
+                    ) from None
+                table[base + k] = j
+                if k < j:  # every move is an involution: record each edge once
                     edges.append((k, j, label))
-    return MoveGraph(model, w, vertices, sorted(edges), ranks)
+                    adjacency[k].append((j, braid))
+                    adjacency[j].append((k, braid))
+    edges.sort()
+    return MoveGraph(model, w, vertices, ranks, index, table, edges, adjacency)
 
 
 def _bfs(g: MoveGraph, source: int) -> list[int]:
@@ -342,7 +369,7 @@ def export(g: MoveGraph, format: str) -> str:
 
 
 def graph_from_json(text: str) -> MoveGraph:
-    """Rebuild a graph from its JSON export."""
+    """Rebuild a graph from its JSON export; its edges fill the move table."""
     payload = json.loads(text)
     model = payload["model"]
     parse = lookup_model(model).type.from_text
@@ -350,5 +377,23 @@ def graph_from_json(text: str) -> MoveGraph:
     records = sorted(payload["vertices"], key=lambda rec: rec["id"])
     vertices = [parse(rec["elem"]) for rec in records]
     ranks = [rec["rank"] for rec in records]
-    edges = [(e["u"], e["v"], e["move"]) for e in payload["edges"]]
-    return MoveGraph(model, w, vertices, edges, ranks)
+    size = len(vertices)
+    moves = {
+        move.label: (slot * size, move.kind == "b")
+        for slot, move in enumerate(moves_for(w.length))
+    }
+    table, adjacency = _blank(size, len(moves))
+    edges = []
+    for e in payload["edges"]:
+        u, v, label = e["u"], e["v"], e["move"]
+        if label not in moves or u == v or not (0 <= u < size and 0 <= v < size):
+            raise ValueError(f"not a move of {w}: {label} from {u} to {v}")
+        base, braid = moves[label]
+        if table[base + u] != u or table[base + v] != v:
+            raise ValueError(f"move {label} given twice at vertex {u} or {v}")
+        table[base + u], table[base + v] = v, u
+        adjacency[u].append((v, braid))
+        adjacency[v].append((u, braid))
+        edges.append((u, v, label))
+    index = {v: k for k, v in enumerate(vertices)}
+    return MoveGraph(model, w, vertices, ranks, index, table, edges, adjacency)

@@ -11,6 +11,7 @@ entry *values*, not cell positions.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .diagrams import (
@@ -165,8 +166,18 @@ def tab_inversions(f: Filling) -> int:
 
     >>> tab_inversions(super_tableau(Permutation([4, 2, 1, 5, 3])))
     0
+
+    Counts the pairs of ``inversion_pairs`` without listing them.
     """
-    return len(inversion_pairs(f))
+    ell = len(f)
+    if ell < 2:  # no pair, so no entry is looked up
+        return 0
+    pos = f.positions()
+    total = 0
+    for (r1, c1), (r2, c2) in combinations([pos[v] for v in range(1, ell + 1)], 2):
+        if r1 > r2 and c1 != c2:
+            total += 1
+    return total
 
 
 def column_inversions(f: Filling) -> int:

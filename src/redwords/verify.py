@@ -14,7 +14,7 @@ orbit's are built.  Each check reports its lexicographically first
 counterexample: a failure replaces one recorded at a larger permutation,
 and a check is not run past its recorded failure.
 
-Five rules keep a run from doing the same work twice:
+Six rules keep a run from doing the same work twice:
 
 - each (w, model) is enumerated once, as the vertices of its move graph,
   built once per run; the bijection checks read those vertex lists;
@@ -25,7 +25,11 @@ Five rules keep a run from doing the same work twice:
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, which every check
   that asks it shares, not by one search per vertex;
-- a move image equal to its source is not examined again; a vertex's rank
+- each move is applied once, by ``graphs.build_graph``; checks read its
+  move table, and compute a vertex's own predicate (reducedness, balance,
+  rank, flip) at most once per vertex index, through its module, so that a
+  rebound function still reaches the check;
+- a move image equal to its source is not examined again; a source's rank
   is read from its graph;
 - the super word of w is built once, by ``words.super_word``, which keeps
   it for the calls that follow on the same w; no check hands it on.
@@ -93,15 +97,16 @@ def staircase_tableau_count(n: int) -> int:
 def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
     """Exhaustive checks that matching by permutation is a bijection that
     preserves ranks, move edges, and the flip/reversal square."""
-    matching = bijection.match_by_permutation(
-        words.enumerate_reduced_words(w), tableaux.enumerate_sbt(w)
-    )
-    return _poset_isomorphism(w, matching)
+    gw, gt = graphs.build_graph(w, "words"), graphs.build_graph(w, "tableaux")
+    return _poset_isomorphism(gw, gt, bijection.match_by_permutation(gw.vertices, gt.vertices))
 
 
-def _poset_isomorphism(w: Permutation, matching: dict | None) -> list[CheckResult]:
-    """``verify_poset_isomorphism`` on a matching of w's words with its
-    tableaux, None when there is no bijection."""
+def _poset_isomorphism(
+    gw: graphs.MoveGraph, gt: graphs.MoveGraph, matching: dict | None
+) -> list[CheckResult]:
+    """``verify_poset_isomorphism`` on the word and tableau graphs of w and
+    a matching of their vertices, None when there is no bijection."""
+    w = gw.w
     if matching is None:
         return [CheckResult("perm_matching_bijection", False, f"w={w}")]
     rank_fail = next(
@@ -112,7 +117,7 @@ def _poset_isomorphism(w: Permutation, matching: dict | None) -> list[CheckResul
         ),
         None,
     )
-    edge_fail = next(_edge_failures(w, matching), None)
+    edge_fail = next(_edge_failures(gw, gt, matching), None)
     square_fail = next(
         (
             f"w={w} word={rho}"
@@ -129,14 +134,16 @@ def _poset_isomorphism(w: Permutation, matching: dict | None) -> list[CheckResul
     ]
 
 
-def _edge_failures(w: Permutation, matching: dict):
+def _edge_failures(gw: graphs.MoveGraph, gt: graphs.MoveGraph, matching: dict):
     """A detail for each move that the matching does not carry from a word
-    to its tableau."""
-    for rho, t in matching.items():
-        for move in bijection.moves_for(len(rho)):
-            rho2, t2 = move.on_word(rho), move.on_tableau(t)
-            if (rho2 == rho) != (t2 == t) or (rho2 != rho and matching[rho2] != t2):
-                yield f"w={w} word={rho} move={move.label}"
+    to its tableau: the word table, mapped through the matching, must equal
+    the tableau table."""
+    size, moves = len(gw.vertices), bijection.moves_for(gw.w.length)
+    to_tab = [gt.index_of(matching[rho]) for rho in gw.vertices]
+    for k, rho in enumerate(gw.vertices):  # the matching's order
+        for m, move in enumerate(moves):
+            if to_tab[gw.table[m * size + k]] != gt.table[m * size + to_tab[k]]:
+                yield f"w={gw.w} word={rho} move={move.label}"
 
 
 def run_suite(n: int) -> list[CheckResult]:
@@ -247,22 +254,27 @@ class _Checks:
 
     def word_moves_involutive_rank_step(self) -> str | None:
         w, n, g = self.w, self.n, self.word_graph
+        size, table = len(g.vertices), g.table
 
-        def reduced_for_w(word: words.Word) -> bool:
+        @functools.cache
+        def reduced_for_w(k: int) -> bool:
+            word = g.vertices[k]
             v = words.word_to_permutation(word, n)
             return v == w and v.length == len(word)  # reduced iff as long as w
 
-        for rho, inv in zip(g.vertices, g.ranks):
-            stays = reduced_for_w(rho)
-            for move in bijection.moves_for(len(rho)):
-                out = move.on_word(rho)
-                if out == rho and stays:  # an unmoved image has its source's tests
+        rank = functools.cache(lambda k: words.word_inversions(g.vertices[k]))
+        moves = tuple(zip(bijection.moves_for(w.length), range(0, len(table), size)))
+        for k, (rho, inv) in enumerate(zip(g.vertices, g.ranks)):
+            stays = reduced_for_w(k)
+            for move, base in moves:
+                j = table[base + k]
+                if j == k and stays:  # an unmoved image has its source's tests
                     continue
-                if move.on_word(out) != rho:
+                if table[base + j] != k:
                     return f"w={w} rho={rho} {move.label}: not an involution"
-                if not reduced_for_w(out):
+                if not reduced_for_w(j):
                     return f"w={w} rho={rho} {move.label}: left R(w)"
-                if abs(words.word_inversions(out) - inv) != 1:
+                if abs(rank(j) - inv) != 1:
                     return f"w={w} rho={rho} {move.label}: rank step != 1"
         return None
 
@@ -349,17 +361,21 @@ class _Checks:
 
     def tableau_moves_balanced_involutive(self) -> str | None:
         w, g = self.w, self.tableau_graph
-        for t, inv in zip(g.vertices, g.ranks):
-            balanced = tableaux.is_balanced(t)
-            for move in bijection.moves_for(len(t)):
-                out = move.on_tableau(t)
-                if out == t and balanced:  # an unmoved image has its source's tests
+        size, table = len(g.vertices), g.table
+        balanced = functools.cache(lambda k: tableaux.is_balanced(g.vertices[k]))
+        rank = functools.cache(lambda k: tableaux.tab_inversions(g.vertices[k]))
+        moves = tuple(zip(bijection.moves_for(w.length), range(0, len(table), size)))
+        for k, inv in enumerate(g.ranks):
+            stays = balanced(k)
+            for move, base in moves:
+                j = table[base + k]
+                if j == k and stays:  # an unmoved image has its source's tests
                     continue
-                if not tableaux.is_balanced(out):
+                if not balanced(j):
                     return f"w={w} {move.label}: unbalanced image"
-                if move.on_tableau(out) != t:
+                if table[base + j] != k:
                     return f"w={w} {move.label}: not an involution"
-                if abs(tableaux.tab_inversions(out) - inv) != 1:
+                if abs(rank(j) - inv) != 1:
                     return f"w={w} {move.label}: rank step != 1"
         return None
 
@@ -402,24 +418,34 @@ class _Checks:
         return None
 
     def tableau_flip_involution_intertwines(self) -> str | None:
-        target = set(self.orbit[self.w.inverse(), "tableaux"].vertices)
-        for t in self.tableau_graph.vertices:
-            image = tableaux.flip(t)
-            if image not in target:
-                return f"w={self.w} tableau={t.to_text()}: image not balanced for inverse"
-            if tableaux.flip(image) != t:
-                return f"w={self.w} tableau={t.to_text()}: not an involution"
-            ell = len(t)
-            for i in range(1, ell):
-                moved = tableaux.tab_commutation(t, i)
-                flipped = image if moved == t else tableaux.flip(moved)
-                if flipped != tableaux.tab_commutation(image, ell - i):
-                    return f"w={self.w} tableau={t.to_text()}: commutation intertwine i={i}"
-            for i in range(2, ell):
-                moved = tableaux.tab_braid(t, i)
-                flipped = image if moved == t else tableaux.flip(moved)
-                if flipped != tableaux.tab_braid(image, ell - i + 1):
-                    return f"w={self.w} tableau={t.to_text()}: braid intertwine i={i}"
+        """Flip maps w's tableaux onto w^-1's and carries c_i to c_(ell-i)
+        and b_i to b_(ell-i+1): one flip index map compares the two move
+        tables."""
+        w, g, gi = self.w, self.tableau_graph, self.orbit[self.w.inverse(), "tableaux"]
+        size, ell = len(g.vertices), w.length
+        # c_i is slot i-1 and c_(ell-i) slot ell-i-1; b_i is slot ell+i-3 and
+        # b_(ell-i+1) slot 2ell-i-2
+        pairs = [(i, "commutation", i - 1, ell - i - 1) for i in range(1, ell)]
+        pairs += [(i, "braid", ell + i - 3, 2 * ell - i - 2) for i in range(2, ell)]
+
+        @functools.cache
+        def flipped(k: int) -> int:
+            """The index in w^-1's graph of vertex k's flip, -1 if none."""
+            image = tableaux.flip(g.vertices[k])
+            try:
+                return gi.index_of(image)
+            except ValueError:
+                return -1
+
+        for k, t in enumerate(g.vertices):
+            f = flipped(k)
+            if f < 0:
+                return f"w={w} tableau={t.to_text()}: image not balanced for inverse"
+            if tableaux.flip(gi.vertices[f]) != t:
+                return f"w={w} tableau={t.to_text()}: not an involution"
+            for i, kind, slot, partner in pairs:
+                if flipped(g.table[slot * size + k]) != gi.table[partner * size + f]:
+                    return f"w={w} tableau={t.to_text()}: {kind} intertwine i={i}"
         return None
 
     # --- counts and the bijection ---------------------------------------------
@@ -429,7 +455,7 @@ class _Checks:
         return None if n_words == n_tableaux else f"w={self.w}: {n_words} vs {n_tableaux}"
 
     def bijection_poset_isomorphism(self) -> str | None:
-        for res in _poset_isomorphism(self.w, self.matching):
+        for res in _poset_isomorphism(self.word_graph, self.tableau_graph, self.matching):
             if not res.passed:
                 return f"{res.name}: {res.detail}"
         return None

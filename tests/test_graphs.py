@@ -6,6 +6,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from redwords import (
+    Move,
     Permutation,
     Word,
     all_permutations,
@@ -26,6 +27,7 @@ from redwords import (
     validate_ranked_poset,
     word_inversions,
 )
+from redwords.bijection import moves_for
 
 from conftest import (
     EDGE_GRID_42153,
@@ -347,3 +349,89 @@ def test_certified_diameter_matches_all_pairs_over_s5_stress(model):
     for w in all_permutations(5):
         g = build_graph(w, model)
         assert diameter(g) == _all_pairs_diameter(g), w
+
+
+ACTS = {"words": Move.on_word, "tableaux": Move.on_tableau}
+
+
+def _assert_move_table(g):
+    """Slot by slot, the move table holds each move's image of each vertex,
+    and a vertex's neighbours are its images under the moves that act."""
+    moves, size = moves_for(g.w.length), len(g.vertices)
+    assert len(g.table) == size * len(moves)
+    for k, element in enumerate(g.vertices):
+        images = [ACTS[g.model](move, element) for move in moves]
+        assert [g.vertices[g.table[m * size + k]] for m in range(len(moves))] == images
+        assert sorted(g.neighbors(k)) == sorted(
+            (g.index_of(image), move.kind == "b")
+            for move, image in zip(moves, images)
+            if image != element
+        )
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_move_table_matches_the_moves_over_s1_to_s4(model):
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            _assert_move_table(build_graph(w, model))
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="S_5 stress run; set REDWORDS_STRESS=1 to enable",
+)
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_move_table_matches_the_moves_over_s5_stress(model):
+    for w in all_permutations(5):
+        _assert_move_table(build_graph(w, model))
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_json_import_has_the_move_table(model):
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            g = build_graph(w, model)
+            h = graph_from_json(to_json(g))
+            assert h.table == g.table
+            assert all(
+                sorted(h.neighbors(k)) == sorted(g.neighbors(k)) for k in range(len(g.vertices))
+            )
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        ({"move": "b3"}, "not a move of 3,2,1: b3 from 0 to 1"),
+        ({"v": 0}, "not a move of 3,2,1: b2 from 0 to 0"),
+        ({"v": 2}, "not a move of 3,2,1: b2 from 0 to 2"),
+        ({"u": -1}, "not a move of 3,2,1: b2 from -1 to 1"),
+        (None, "move b2 given twice at vertex 1 or 0"),
+    ],
+    ids=["label", "loop", "past_the_end", "negative", "twice"],
+)
+def test_graph_from_json_rejects_edges_that_are_not_moves(edit, message):
+    payload = json.loads(to_json(build_graph(Permutation([3, 2, 1]), "words")))
+    assert payload["edges"] == [{"u": 0, "v": 1, "move": "b2"}]
+    if edit is None:
+        payload["edges"].append({"u": 1, "v": 0, "move": "b2"})
+    else:
+        payload["edges"][0].update(edit)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        graph_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_build_graph_names_a_move_image_outside_the_vertex_set(monkeypatch, model):
+    w = Permutation([4, 3, 2, 1])
+    honest, source = ACTS[model], build_graph(w, model).vertices[3]
+    stranger = Word([1] * 6) if model == "words" else super_tableau(Permutation([3, 4, 2, 1]))
+
+    def faulty(move, element):
+        return stranger if move.label == "b2" and element == source else honest(move, element)
+
+    monkeypatch.setattr(Move, ACTS[model].__name__, faulty)
+    with pytest.raises(ValueError) as caught:
+        build_graph(w, model)
+    assert str(caught.value) == (
+        f"move b2 takes {source} to {stranger}, which is not an element of 4,3,2,1"
+    )

@@ -453,3 +453,24 @@ def test_kernels_match_references_on_seeded_long_tableaux():
         assert reconstruct_from_row_multisets(t.diagram, rows) == t
         assert _reference_reconstruct(t.diagram, rows) == t
         assert column_inversions(t) == _reference_column_inversions(t)
+
+
+def test_tab_inversions_count_the_inversion_pairs():
+    """Every standard filling of every Rothe diagram of S_1..S_4, so every
+    balanced tableau of those permutations among them, and fillings whose
+    entries are not 1..ell, which raise the same KeyError."""
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            cells = rothe_diagram(w).cells
+            for values in itertools_permutations(range(1, len(cells) + 1)):
+                f = Filling(zip(cells, values))
+                assert tab_inversions(f) == len(inversion_pairs(f))
+            if len(cells) <= 3:
+                for values in product(range(1, len(cells) + 2), repeat=len(cells)):
+                    f = _filling(cells, values)
+                    expected = _counted(lambda t: len(inversion_pairs(t)), f)
+                    assert _counted(tab_inversions, f) == expected
+    rng = random.Random(13)
+    for n in range(7, 15):
+        t = word_to_tableau(random_reduced_word(rng, n))
+        assert tab_inversions(t) == len(inversion_pairs(t))

@@ -268,3 +268,69 @@ def test_suite_matches_each_permutation_once(monkeypatch):
     monkeypatch.setattr(bijection, "match_by_permutation", counted)
     assert all_passed(run_suite(4))
     assert len(calls) == 24
+
+
+def _fix_one_image(monkeypatch, act, source, label):
+    """Make ``Move.<act>`` leave the image of ``source`` under the move
+    ``label`` fixed by that move, so that the move is no longer an
+    involution there while every edge can still be recorded."""
+    honest = getattr(bijection.Move, act)
+    move = next(m for m in bijection.moves_for(len(source)) if m.label == label)
+    target = honest(move, source)
+    assert target != source
+
+    def faulty(self, element):
+        return element if self == move and element == target else honest(self, element)
+
+    monkeypatch.setattr(bijection.Move, act, faulty)
+
+
+@pytest.mark.parametrize(
+    "act,source,label,check,detail",
+    [
+        (
+            "on_word",
+            lambda: enumerate_reduced_words(W0_4)[0],
+            "c3",
+            "word_moves_involutive_rank_step",
+            "w=4,3,2,1 rho=1,2,1,3,2,1 c3: not an involution",
+        ),
+        (
+            "on_tableau",
+            lambda: enumerate_sbt(W0_4)[5],
+            "c1",
+            "tableau_moves_balanced_involutive",
+            "w=4,3,2,1 c1: not an involution",
+        ),
+    ],
+    ids=["words", "tableaux"],
+)
+def test_move_checks_see_a_move_that_is_not_an_involution(
+    monkeypatch, act, source, label, check, detail
+):
+    """The move table holds each move's own image of each vertex, not a
+    table made symmetric from the edges, so a one-sided move is caught."""
+    _fix_one_image(monkeypatch, act, source(), label)
+    result = {r.name: r for r in run_suite(4)}[check]
+    assert not result.passed
+    assert result.detail == detail
+
+
+@pytest.mark.parametrize(
+    "a,b,detail",
+    [
+        (3, 9, "w=4,3,2,1 tableau=1,1,3;1,2,2;1,3,1;2,1,5;2,2,4;3,1,6: braid intertwine i=5"),
+        (5, 6, "w=4,3,2,1 tableau=1,1,3;1,2,4;1,3,2;2,1,5;2,2,6;3,1,1: commutation intertwine i=4"),
+    ],
+)
+def test_flip_check_sees_a_flip_that_does_not_intertwine(monkeypatch, a, b, detail):
+    """tableaux.flip exchanges the images of the a-th and b-th tableaux of
+    4,3,2,1: still an involution onto balanced tableaux, but it no longer
+    carries moves to moves."""
+    ts, honest = enumerate_sbt(W0_4), tableaux.flip
+    fa, fb = honest(ts[a]), honest(ts[b])
+    swap = {ts[a]: fb, fb: ts[a], ts[b]: fa, fa: ts[b]}
+    monkeypatch.setattr(tableaux, "flip", lambda t: swap.get(t) or honest(t))
+    result = {r.name: r for r in run_suite(4)}["tableau_flip_involution_intertwines"]
+    assert not result.passed
+    assert result.detail == detail
