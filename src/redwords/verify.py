@@ -8,11 +8,12 @@ checks run only at the longest permutation; ``yang_baxter_pairwise_scope``
 is a tally for n <= 4 that always passes.
 
 ``run_suite`` sweeps S_n once, one inversion orbit {w, w^-1} at a time from
-its lexicographically smaller member: it builds the orbit's move graphs,
-runs every check on each member, and lets the graphs go before the next
-orbit's are built.  Each check reports its lexicographically first
-counterexample: a failure replaces one recorded at a larger permutation,
-and a check is not run past its recorded failure.
+its lexicographically smaller member: it builds the orbit's move graphs as
+the checks first ask for them, runs every check on each member, and lets
+the graphs and their tables go before the next orbit's are built.  Each
+check reports its lexicographically first counterexample: a failure
+replaces one recorded at a larger permutation, and a check is not run past
+its recorded failure.
 
 Six rules keep a run from doing the same work twice:
 
@@ -24,13 +25,17 @@ Six rules keep a run from doing the same work twice:
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, which every check
-  that asks it shares, not by one search per vertex;
+  that asks it shares, not by one search per vertex; that pass also shows
+  whether the graph is connected;
 - each move is applied once, by ``graphs.build_graph``; checks read its
-  move table, and compute a vertex's own predicate (reducedness, balance,
-  rank, flip) at most once per vertex index, through its module, so that a
-  rebound function still reaches the check;
-- a move image equal to its source is not examined again; a source's rank
-  is read from its graph;
+  move table;
+- each statistic of each element (its rank, column inversions, balance,
+  flip, complement) is computed once per run, through its module so that a
+  rebound function still reaches the check, into a per-vertex table of the
+  orbit that every check reading it shares; flip and complement are tabled
+  as vertex indices, so their involution tests compare indices; a move
+  image equal to its source is not examined again, and a source's rank is
+  read from its graph;
 - the super word of w is built once, by ``words.super_word``, which keeps
   it for the calls that follow on the same w; no check hands it on.
 """
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Callable
 
 from . import bijection, diagrams, graphs, tableaux, words
 from .perms import Permutation, all_permutations
@@ -97,32 +103,38 @@ def staircase_tableau_count(n: int) -> int:
 def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
     """Exhaustive checks that matching by permutation is a bijection that
     preserves ranks, move edges, and the flip/reversal square."""
-    gw, gt = graphs.build_graph(w, "words"), graphs.build_graph(w, "tableaux")
-    return _poset_isomorphism(gw, gt, bijection.match_by_permutation(gw.vertices, gt.vertices))
+    return _poset_isomorphism(_Checks(w, w.n, _Orbit(), [0, 0]))
 
 
-def _poset_isomorphism(
-    gw: graphs.MoveGraph, gt: graphs.MoveGraph, matching: dict | None
-) -> list[CheckResult]:
-    """``verify_poset_isomorphism`` on the word and tableau graphs of w and
-    a matching of their vertices, None when there is no bijection."""
-    w = gw.w
-    if matching is None:
+def _poset_isomorphism(c: _Checks) -> list[CheckResult]:
+    """``verify_poset_isomorphism`` on the graphs, matching and tables of
+    the context ``c`` of w."""
+    w, gw, gt, to_tab = c.w, c.word_graph, c.tableau_graph, c.to_tab
+    if to_tab is None:
         return [CheckResult("perm_matching_bijection", False, f"w={w}")]
+    word_rank, rank = c.table("words", "word_inversions"), c.table("tableaux", "tab_inversions")
     rank_fail = next(
         (
             f"w={w} word={rho}"
-            for rho, t in matching.items()
-            if words.word_inversions(rho) != tableaux.tab_inversions(t)
+            for k, (rho, j) in enumerate(zip(gw.vertices, to_tab))
+            if word_rank(k) != rank(j)
         ),
         None,
     )
-    edge_fail = next(_edge_failures(gw, gt, matching), None)
+    edge_fail = next(_edge_failures(gw, gt, to_tab), None)
+    flipped, inverse = c.table("tableaux", "flip"), c.orbit.graph(w.inverse(), "tableaux")
+
+    def flip_of(j: int) -> diagrams.Filling:
+        """Tableau j's flip, from the flip map unless it lies outside the
+        graph of w^-1."""
+        f = flipped(j)
+        return inverse.vertices[f] if f >= 0 else tableaux.flip(gt.vertices[j])
+
     square_fail = next(
         (
             f"w={w} word={rho}"
-            for rho, t in matching.items()
-            if bijection.word_to_tableau(rho.reverse()) != tableaux.flip(t)
+            for rho, j in zip(gw.vertices, to_tab)
+            if bijection.word_to_tableau(rho.reverse()) != flip_of(j)
         ),
         None,
     )
@@ -134,13 +146,12 @@ def _poset_isomorphism(
     ]
 
 
-def _edge_failures(gw: graphs.MoveGraph, gt: graphs.MoveGraph, matching: dict):
-    """A detail for each move that the matching does not carry from a word
-    to its tableau: the word table, mapped through the matching, must equal
-    the tableau table."""
+def _edge_failures(gw: graphs.MoveGraph, gt: graphs.MoveGraph, to_tab: list[int]):
+    """A detail for each move that the matching ``to_tab`` does not carry
+    from a word to its tableau: the word table, mapped through the
+    matching, must equal the tableau table."""
     size, moves = len(gw.vertices), bijection.moves_for(gw.w.length)
-    to_tab = [gt.index_of(matching[rho]) for rho in gw.vertices]
-    for k, rho in enumerate(gw.vertices):  # the matching's order
+    for k, rho in enumerate(gw.vertices):
         for m, move in enumerate(moves):
             if to_tab[gw.table[m * size + k]] != gt.table[m * size + to_tab[k]]:
                 yield f"w={gw.w} word={rho} move={move.label}"
@@ -167,12 +178,11 @@ def run_suite(n: int) -> list[CheckResult]:
 
 
 def _check_orbit(w: Permutation, n: int, failures: dict, scope: list[int]) -> None:
-    """Run the checks on w and its inverse, from one set of move graphs that
-    is released on return."""
-    members = dict.fromkeys((w, w.inverse()))  # one member for an involution
-    orbit = {(v, model): graphs.build_graph(v, model) for v in members for model in graphs.MODELS}
+    """Run the checks on w and its inverse, from one set of move graphs and
+    tables that is released on return."""
+    orbit = _Orbit()
     longest = Permutation.longest(n)
-    for v in members:
+    for v in dict.fromkeys((w, w.inverse())):  # one member for an involution
         checks = _Checks(v, n, orbit, scope)
         for name in CHECKS:
             if name.startswith("w0_") and v != longest:
@@ -184,13 +194,63 @@ def _check_orbit(w: Permutation, n: int, failures: dict, scope: list[int]) -> No
                 failures[name] = (v, detail)
 
 
+# The module holding each model's statistics, and the statistics whose
+# values are elements of the inverse permutation, tabled as vertex indices.
+_MODULES = {"words": words, "tableaux": tableaux}
+_MAPS = ("flip", "psi")
+
+
+class _Orbit:
+    """The move graphs of an inverse pair {w, w^-1}, each built on first
+    request, and the per-vertex tables of their elements' statistics."""
+
+    def __init__(self):
+        self._graphs: dict[tuple[Permutation, str], graphs.MoveGraph] = {}
+        self._tables: dict[tuple[Permutation, str, str], Callable[[int], object]] = {}
+
+    def graph(self, v: Permutation, model: str) -> graphs.MoveGraph:
+        if (v, model) not in self._graphs:
+            self._graphs[v, model] = graphs.build_graph(v, model)
+        return self._graphs[v, model]
+
+    def table(self, v: Permutation, model: str, name: str) -> Callable[[int], object]:
+        """The statistic ``name`` of the model's module on the vertices of
+        v's graph, as a function of the vertex index that calls it, through
+        the module, on the first read of each vertex only.  A flip or psi
+        image reads as its index in the graph of v^-1, or -1 outside it."""
+        key = (v, model, name)
+        if key not in self._tables:
+            vertices, module = self.graph(v, model).vertices, _MODULES[model]
+            index_of = self.graph(v.inverse(), model).index_of if name in _MAPS else None
+            values = [None] * len(vertices)
+
+            def read(k: int):
+                value = values[k]
+                if value is None:
+                    value = getattr(module, name)(vertices[k])
+                    if index_of is not None:
+                        try:
+                            value = index_of(value)
+                        except ValueError:
+                            value = -1
+                    values[k] = value
+                return value
+
+            self._tables[key] = read
+        return self._tables[key]
+
+
 class _Checks:
     """The checks of one permutation w of S_n, each a method that returns a
     counterexample detail or None, on the move graphs of w's orbit."""
 
-    def __init__(self, w: Permutation, n: int, orbit: dict, scope: list[int]):
+    def __init__(self, w: Permutation, n: int, orbit: _Orbit, scope: list[int]):
         self.w, self.n, self.orbit, self.scope = w, n, orbit, scope
-        self.word_graph, self.tableau_graph = orbit[w, "words"], orbit[w, "tableaux"]
+        self.word_graph, self.tableau_graph = orbit.graph(w, "words"), orbit.graph(w, "tableaux")
+
+    def table(self, model: str, name: str) -> Callable[[int], object]:
+        """The orbit's table of the statistic ``name`` on w's graph of model."""
+        return self.orbit.table(self.w, model, name)
 
     @functools.cached_property
     def word_paths(self) -> tuple[list[int], list[int]]:
@@ -203,10 +263,12 @@ class _Checks:
         return graphs.shortest_paths(self.tableau_graph, diagrams.super_tableau(self.w))
 
     @functools.cached_property
-    def matching(self) -> dict | None:
-        """Each word of w paired with the tableau of the same permutation;
-        None when that is not a bijection."""
-        return bijection.match_by_permutation(self.word_graph.vertices, self.tableau_graph.vertices)
+    def to_tab(self) -> list[int] | None:
+        """Per word vertex, the index of the tableau of the same permutation;
+        None when that pairing is not a bijection."""
+        gw, gt = self.word_graph, self.tableau_graph
+        matching = bijection.match_by_permutation(gw.vertices, gt.vertices)
+        return None if matching is None else [gt.index_of(matching[rho]) for rho in gw.vertices]
 
     @functools.cached_property
     def w0_extremes(self) -> tuple[list[int], list[int], int]:
@@ -262,7 +324,7 @@ class _Checks:
             v = words.word_to_permutation(word, n)
             return v == w and v.length == len(word)  # reduced iff as long as w
 
-        rank = functools.cache(lambda k: words.word_inversions(g.vertices[k]))
+        rank = self.table("words", "word_inversions")
         moves = tuple(zip(bijection.moves_for(w.length), range(0, len(table), size)))
         for k, (rho, inv) in enumerate(zip(g.vertices, g.ranks)):
             stays = reduced_for_w(k)
@@ -280,8 +342,9 @@ class _Checks:
 
     def word_inversions_equal_bfs_distance(self) -> str | None:
         dist, _ = self.word_paths
-        for rho, d in zip(self.word_graph.vertices, dist):
-            if d != words.word_inversions(rho):
+        rank = self.table("words", "word_inversions")
+        for k, (rho, d) in enumerate(zip(self.word_graph.vertices, dist)):
+            if d != rank(k):
                 return f"w={self.w} rho={rho}"
         return None
 
@@ -296,16 +359,16 @@ class _Checks:
         return None
 
     def word_reversal_inverts(self) -> str | None:
-        expected = set(self.orbit[self.w.inverse(), "words"].vertices)
+        expected = set(self.orbit.graph(self.w.inverse(), "words").vertices)
         for rho in self.word_graph.vertices:
             if rho.reverse() not in expected:
                 return f"w={self.w} rho={rho}"
         return None
 
     def naive_metric_agrees_at_super(self) -> str | None:
-        pi = words.super_word(self.w)
-        for rho in self.word_graph.vertices:
-            if rho and words.naive_pair_inversions(rho, pi) != words.word_inversions(rho):
+        pi, rank = words.super_word(self.w), self.table("words", "word_inversions")
+        for k, rho in enumerate(self.word_graph.vertices):
+            if rho and words.naive_pair_inversions(rho, pi) != rank(k):
                 return f"w={self.w} rho={rho}"
         return None
 
@@ -362,8 +425,8 @@ class _Checks:
     def tableau_moves_balanced_involutive(self) -> str | None:
         w, g = self.w, self.tableau_graph
         size, table = len(g.vertices), g.table
-        balanced = functools.cache(lambda k: tableaux.is_balanced(g.vertices[k]))
-        rank = functools.cache(lambda k: tableaux.tab_inversions(g.vertices[k]))
+        balanced = self.table("tableaux", "is_balanced")
+        rank = self.table("tableaux", "tab_inversions")
         moves = tuple(zip(bijection.moves_for(w.length), range(0, len(table), size)))
         for k, inv in enumerate(g.ranks):
             stays = balanced(k)
@@ -380,21 +443,22 @@ class _Checks:
         return None
 
     def tableau_inversion_identity(self) -> str | None:
-        for t in self.tableau_graph.vertices:
+        rank = self.table("tableaux", "tab_inversions")
+        for k, t in enumerate(self.tableau_graph.vertices):
             if not len(t):
                 continue
-            lhs = tableaux.tab_inversions(t)
-            rhs = tableaux.tab_permutation(t).length - tableaux.row_coinversions(t)
-            if lhs != rhs:
+            if rank(k) != tableaux.tab_permutation(t).length - tableaux.row_coinversions(t):
                 return f"w={self.w} tableau={t.to_text()}"
         return None
 
     def tableau_inv_and_braids_by_bfs(self) -> str | None:
         dist, braids = self.tableau_paths
-        for t, d, b in zip(self.tableau_graph.vertices, dist, braids):
-            if d != tableaux.tab_inversions(t):
+        rank = self.table("tableaux", "tab_inversions")
+        columns = self.table("tableaux", "column_inversions")
+        for k, (t, d, b) in enumerate(zip(self.tableau_graph.vertices, dist, braids)):
+            if d != rank(k):
                 return f"w={self.w} tableau={t.to_text()}"
-            if b != tableaux.column_inversions(t):
+            if b != columns(k):
                 return f"w={self.w} tableau={t.to_text()}: braid count"
         return None
 
@@ -408,12 +472,14 @@ class _Checks:
         return None
 
     def tableau_descent_sequence_counts(self) -> str | None:
-        for t in self.tableau_graph.vertices:
+        rank = self.table("tableaux", "tab_inversions")
+        columns = self.table("tableaux", "column_inversions")
+        for k, t in enumerate(self.tableau_graph.vertices):
             seq = bijection.descent_to_super(t)
-            if len(seq) != tableaux.tab_inversions(t):
+            if len(seq) != rank(k):
                 return f"w={self.w} tableau={t.to_text()}: length"
             braids = sum(1 for m in seq if m.kind == "b")
-            if braids != tableaux.column_inversions(t):
+            if braids != columns(k):
                 return f"w={self.w} tableau={t.to_text()}: braid count"
         return None
 
@@ -421,27 +487,19 @@ class _Checks:
         """Flip maps w's tableaux onto w^-1's and carries c_i to c_(ell-i)
         and b_i to b_(ell-i+1): one flip index map compares the two move
         tables."""
-        w, g, gi = self.w, self.tableau_graph, self.orbit[self.w.inverse(), "tableaux"]
+        w, g, gi = self.w, self.tableau_graph, self.orbit.graph(self.w.inverse(), "tableaux")
         size, ell = len(g.vertices), w.length
         # c_i is slot i-1 and c_(ell-i) slot ell-i-1; b_i is slot ell+i-3 and
         # b_(ell-i+1) slot 2ell-i-2
         pairs = [(i, "commutation", i - 1, ell - i - 1) for i in range(1, ell)]
         pairs += [(i, "braid", ell + i - 3, 2 * ell - i - 2) for i in range(2, ell)]
-
-        @functools.cache
-        def flipped(k: int) -> int:
-            """The index in w^-1's graph of vertex k's flip, -1 if none."""
-            image = tableaux.flip(g.vertices[k])
-            try:
-                return gi.index_of(image)
-            except ValueError:
-                return -1
-
+        flipped = self.table("tableaux", "flip")
+        back = self.orbit.table(w.inverse(), "tableaux", "flip")  # gi's flip map into g
         for k, t in enumerate(g.vertices):
             f = flipped(k)
             if f < 0:
                 return f"w={w} tableau={t.to_text()}: image not balanced for inverse"
-            if tableaux.flip(gi.vertices[f]) != t:
+            if back(f) != k:
                 return f"w={w} tableau={t.to_text()}: not an involution"
             for i, kind, slot, partner in pairs:
                 if flipped(g.table[slot * size + k]) != gi.table[partner * size + f]:
@@ -455,7 +513,7 @@ class _Checks:
         return None if n_words == n_tableaux else f"w={self.w}: {n_words} vs {n_tableaux}"
 
     def bijection_poset_isomorphism(self) -> str | None:
-        for res in _poset_isomorphism(self.word_graph, self.tableau_graph, self.matching):
+        for res in _poset_isomorphism(self):
             if not res.passed:
                 return f"{res.name}: {res.detail}"
         return None
@@ -463,9 +521,10 @@ class _Checks:
     # --- graphs ------------------------------------------------------------------
 
     def graph_connected_ranked(self) -> str | None:
-        for model in graphs.MODELS:
-            g = self.orbit[self.w, model]
-            if not graphs.is_connected(g):
+        for model, paths in (("words", "word_paths"), ("tableaux", "tableau_paths")):
+            g = self.orbit.graph(self.w, model)
+            dist, _ = getattr(self, paths)
+            if -1 in dist:  # unreached from the super element
                 return f"w={self.w} {model}: disconnected"
             for res in graphs.validate_ranked_poset(g):
                 if not res.passed:
@@ -473,18 +532,17 @@ class _Checks:
         return None
 
     def graph_models_isomorphic(self) -> str | None:
-        w, gw, gt, mapping = self.w, self.word_graph, self.tableau_graph, self.matching
-        if mapping is None:
+        w, gw, gt, to_tab = self.w, self.word_graph, self.tableau_graph, self.to_tab
+        if to_tab is None:
             return f"w={w}: no bijection"
-        to_tab = {gw.index_of(rho): gt.index_of(t) for rho, t in mapping.items()}
         word_edges = {
             (min(to_tab[u], to_tab[v]), max(to_tab[u], to_tab[v]), label)
             for u, v, label in gw.edges
         }
         if word_edges != set(gt.edges):
             return f"w={w}: edge sets differ"
-        for rho, t in mapping.items():
-            if gw.ranks[gw.index_of(rho)] != gt.ranks[gt.index_of(t)]:
+        for rho, r, j in zip(gw.vertices, gw.ranks, to_tab):
+            if r != gt.ranks[j]:
                 return f"w={w}: rank mismatch at {rho}"
         return None
 
@@ -492,13 +550,21 @@ class _Checks:
 
     def w0_complement_reverses_rank(self) -> str | None:
         expected = tableaux.min_inv_w0(self.n)
-        for t in self.tableau_graph.vertices:
+        comp, rank = self.table("tableaux", "psi"), self.table("tableaux", "tab_inversions")
+        for k, t in enumerate(self.tableau_graph.vertices):
             if not len(t):
                 continue
-            image = tableaux.psi(t)
-            if tableaux.psi(image) != t:
-                return f"tableau={t.to_text()}: not an involution"
-            if tableaux.tab_inversions(t) + tableaux.tab_inversions(image) != expected:
+            c = comp(k)
+            if c >= 0:
+                if comp(c) != k:
+                    return f"tableau={t.to_text()}: not an involution"
+                image_rank = rank(c)
+            else:  # an image outside the graph
+                image = tableaux.psi(t)
+                if tableaux.psi(image) != t:
+                    return f"tableau={t.to_text()}: not an involution"
+                image_rank = tableaux.tab_inversions(image)
+            if rank(k) + image_rank != expected:
                 return f"tableau={t.to_text()}: ranks do not complement"
         return None
 

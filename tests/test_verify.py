@@ -1,5 +1,7 @@
+import os
 import time
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -334,3 +336,61 @@ def test_flip_check_sees_a_flip_that_does_not_intertwine(monkeypatch, a, b, deta
     result = {r.name: r for r in run_suite(4)}["tableau_flip_involution_intertwines"]
     assert not result.passed
     assert result.detail == detail
+
+
+def test_complement_check_sees_a_complement_that_is_not_an_involution(monkeypatch):
+    """tableaux.psi exchanges the images of the 3rd and 9th tableaux of
+    4,3,2,1: each image is still a tableau of 4,3,2,1, but applying psi
+    twice no longer gives back every tableau."""
+    ts, honest = enumerate_sbt(W0_4), tableaux.psi
+    swap = {ts[3]: honest(ts[9]), ts[9]: honest(ts[3])}
+    monkeypatch.setattr(tableaux, "psi", lambda t: swap.get(t) or honest(t))
+    result = {r.name: r for r in run_suite(4)}["w0_complement_reverses_rank"]
+    assert not result.passed
+    assert result.detail == "tableau=1,1,3;1,2,4;1,3,2;2,1,5;2,2,6;3,1,1: not an involution"
+
+
+STATISTICS = [
+    (words, "word_inversions"),
+    (tableaux, "tab_inversions"),
+    (tableaux, "column_inversions"),
+    (tableaux, "is_balanced"),
+    (tableaux, "flip"),
+    (tableaux, "psi"),
+]
+
+
+def _assert_each_statistic_computed_once(monkeypatch, n):
+    """Over run_suite(n), each function of STATISTICS sees each element
+    once, except for the direct calls on the super tableau of
+    ``tableau_super_balanced_rank_zero`` (tab_inversions, is_balanced) and
+    of ``w0_extremes`` (psi)."""
+    seen = {name: Counter() for _, name in STATISTICS}
+    for module, name in STATISTICS:
+        honest, tally = getattr(module, name), seen[name]
+
+        def counted(element, *args, honest=honest, tally=tally, **kwargs):
+            tally[element] += 1
+            return honest(element, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert all_passed(run_suite(n))
+    supers = {super_tableau(w) for w in all_permutations(n)}
+    top = super_tableau(Permutation.longest(n))
+    allowed = {"tab_inversions": supers, "is_balanced": supers, "psi": {top}}
+    for _, name in STATISTICS:
+        repeated = {e for e, count in seen[name].items() if count > 1}
+        assert repeated <= allowed.get(name, set()), name
+        assert max(seen[name].values()) <= 2, name
+
+
+def test_suite_computes_each_statistic_once_per_element(monkeypatch):
+    _assert_each_statistic_computed_once(monkeypatch, 4)
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="S_5 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_suite_computes_each_statistic_once_per_element_over_s5_stress(monkeypatch):
+    _assert_each_statistic_computed_once(monkeypatch, 5)
