@@ -153,14 +153,12 @@ def tableau_to_word(f: Filling) -> Word:
     ell = len(letters)
     for move in reversed(moves):  # commutation_move and braid_move, in place
         s = ell - move.index  # display slot of letter i = move.index
+        a, b = letters[s - 1], letters[s]  # letters i+1, i
         if move.kind == "c":
-            b, a = letters[s - 1 : s + 1]  # letters i+1, i
             if abs(a - b) > 1:
-                letters[s - 1 : s + 1] = a, b
-        else:
-            a, b, c = letters[s - 1 : s + 2]  # letters i+1, i, i-1
-            if a == c and abs(a - b) == 1:
-                letters[s - 1 : s + 2] = b, a, b
+                letters[s - 1], letters[s] = b, a
+        elif a == letters[s + 1] and abs(a - b) == 1:  # letters i+1, i, i-1
+            letters[s - 1], letters[s], letters[s + 1] = b, a, b
     word = tuple.__new__(Word, letters)
     if pairing_permutation(word) != tab_permutation(f):
         raise RuntimeError(f"word transport failed for {f.to_text()}")

@@ -41,7 +41,10 @@ class Permutation(tuple):
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        entries = range(1, n + 1)  # a bijection by construction: check only its size
+        if not entries:
+            raise ValueError("a permutation needs at least one entry")
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
@@ -50,7 +53,7 @@ class Permutation(tuple):
         >>> str(Permutation.longest(4))
         '4,3,2,1'
         """
-        return cls(range(n, 0, -1))
+        return tuple.__new__(cls, cls.identity(n)[::-1])
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":

@@ -14,7 +14,7 @@ passes a plain iterable through ``Word`` but trusts a ``Word`` as it is.
 Words the package derives from valid ones (moves, reversal, runs,
 enumeration) are built unchecked with ``tuple.__new__(Word, letters)``; use
 that form only where the letters are positive by construction.  Functions
-that need a reduced word check reducedness once per call.
+that need a reduced word check reducedness once per recently paired word.
 """
 
 from __future__ import annotations
@@ -227,9 +227,14 @@ def braid_move(word: Word, i: int) -> Word:
     return tuple.__new__(Word, letters)
 
 
+@lru_cache(maxsize=64)
 def _pairing(word: Word) -> tuple[Permutation, Word, int]:
     """A reduced word's pairing permutation, the super word it pairs against
-    and the permutation's inversion number; see ``pairing_permutation``."""
+    and the permutation's inversion number; see ``pairing_permutation``.
+
+    The pairings of the last 64 words are kept, so the rank, the tableau
+    and the braid count of one word share one scan; the results are
+    immutable, and a word that is not reduced raises on every call."""
     ell = len(word)
     if ell == 0:
         raise ValueError("the empty word has no pairing permutation")
@@ -240,17 +245,19 @@ def _pairing(word: Word) -> tuple[Permutation, Word, int]:
         if a > b:
             raise ValueError(f"word is not reduced: {word}")
         v[letter - 1], v[letter] = b, a
-    pi = super_word(tuple.__new__(Permutation, v))
+    pi = _super_word(tuple(v))
     letters, slots = list(word), list(range(ell))  # unmatched letters, their display slots
     out, inversions = [0] * ell, 0
     for i, k in zip(range(ell - 1, -1, -1), pi):
-        below, p = k - 1, 0
-        for letter in letters:  # a reduced word always holds a match
-            if letter == k:
-                break
-            if letter == below:
-                k, below = below, below - 1
-            p += 1
+        p = 0
+        if letters[0] != k:  # else the first unmatched letter matches at once
+            below = k - 1
+            for letter in letters:  # a reduced word always holds a match
+                if letter == k:
+                    break
+                if letter == below:
+                    k, below = below, below - 1
+                p += 1
         del letters[p]
         slot = slots.pop(p)
         out[i] = ell - slot
@@ -294,15 +301,25 @@ def word_inversions(word: Word | Iterable[int]) -> int:
 def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
     """The pair permutation u, perm(sigma) composed with the inverse of
     perm(rho), after checking both words reduce to the same permutation;
-    and the letterwise displacement, the sum over i of |rho_i - sigma_u(i)|."""
-    u_sigma, pi_sigma, _ = _pairing(sigma)
-    u_rho, pi_rho, _ = _pairing(rho)
-    if pi_sigma != pi_rho:  # reduced words share a permutation iff they share a super word
-        n = max(max(rho), max(sigma)) + 1
-        w_rho = word_to_permutation(rho, n)
-        w_sigma = word_to_permutation(sigma, n)
-        raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
-    u = u_sigma * u_rho.inverse()
+    and the letterwise displacement, the sum over i of |rho_i - sigma_u(i)|.
+
+    When sigma is rho's super word it is not paired: its pairing is the
+    identity, since each super letter matches the first unmatched letter,
+    itself.  When both words are bad, sigma's error is raised."""
+    try:
+        u_rho, pi_rho, _ = _pairing(rho)
+    except ValueError:
+        _pairing(sigma)  # raises sigma's error, if any, first
+        raise
+    u = u_rho.inverse()
+    if sigma != pi_rho:
+        u_sigma, pi_sigma, _ = _pairing(sigma)
+        if pi_sigma != pi_rho:  # reduced words share a permutation iff they share a super word
+            n = max(max(rho), max(sigma)) + 1
+            w_rho = word_to_permutation(rho, n)
+            w_sigma = word_to_permutation(sigma, n)
+            raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
+        u = u_sigma * u
     return u, sum(abs(rho[-i] - sigma[-j]) for i, j in enumerate(u, 1))  # letter i is word[-i]
 
 

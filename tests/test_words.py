@@ -214,6 +214,27 @@ def test_pairing_scan_counts_the_pairing_inversions():
                     assert inversions == perm.length
 
 
+def test_pairing_cache_returns_equal_results():
+    _pairing.cache_clear()
+    first = _pairing(RHO)
+    assert _pairing(Word(list(RHO))) == first
+    assert _pairing.cache_info().hits == 1
+    assert pairing_permutation(RHO) == first[0]
+
+
+def test_pairing_cache_keeps_no_error():
+    _pairing.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="no pairing permutation"):
+            pairing_permutation(Word())
+        for bad in (Word([1, 2, 1, 2]), Word([1, 1])):
+            with pytest.raises(ValueError, match="not reduced"):
+                pairing_permutation(bad)
+            with pytest.raises(ValueError, match="not reduced"):
+                word_inversions(bad)
+    assert _pairing.cache_info().currsize == 0
+
+
 def test_word_inversions_reference_example():
     assert word_inversions(RHO) == 11
     assert word_inversions(PI) == 0
@@ -260,6 +281,50 @@ def test_naive_pair_inversions_barrier_example():
     assert oracle_distance(edges, rho, sigma) == 4
     assert oracle_min_braids(edges, rho, sigma) == 2
     assert naive_pair_inversions(rho, rho) == 0
+
+
+def test_pairing_toward_the_super_word_matches_two_pairings():
+    """yang_baxter_count and naive_pair_inversions skip pairing sigma when
+    it is rho's super word; the reference pairs both words."""
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            pi = super_word(w)
+            for rho in enumerate_reduced_words(w):
+                if not rho:
+                    continue
+                u = pairing_permutation(pi) * pairing_permutation(rho).inverse()
+                displacement = sum(abs(rho[-i] - pi[-j]) for i, j in enumerate(u, 1))
+                assert yang_baxter_count(rho, pi) == displacement
+                assert naive_pair_inversions(rho, pi) == u.length - displacement
+
+
+PAIR_ERRORS = {
+    "empty rho": ((), (1,), "the empty word has no pairing permutation"),
+    "empty sigma": ((1,), (), "the empty word has no pairing permutation"),
+    "empty rho, non-reduced sigma": ((), (1, 1), "word is not reduced: 1,1"),
+    "non-reduced rho": ((1, 2, 1, 2), (2, 1, 2), "word is not reduced: 1,2,1,2"),
+    "non-reduced rho, empty sigma": ((1, 1), (), "the empty word has no pairing permutation"),
+    "non-reduced sigma": ((1, 2, 1), (2, 2), "word is not reduced: 2,2"),
+    "non-reduced sigma, super rho": ((2, 1, 2), (1, 2, 1, 2), "word is not reduced: 1,2,1,2"),
+    "both non-reduced": ((1, 2, 1, 2), (3, 3), "word is not reduced: 3,3"),
+    "different permutations": ((1,), (2,), "words are for different permutations: 2,1,3 vs 1,3,2"),
+    "sigma super for another permutation": (
+        (1, 2),
+        (2, 1),
+        "words are for different permutations: 3,1,2 vs 2,3,1",
+    ),
+    "a letter below 1": ((0, 1), (1,), "letters must be positive: (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("pair", [yang_baxter_count, naive_pair_inversions], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", PAIR_ERRORS)
+def test_pair_statistics_raise_the_same_errors(pair, case):
+    rho, sigma, message = PAIR_ERRORS[case]
+    for _ in range(2):
+        with pytest.raises(ValueError) as caught:
+            pair(rho, sigma)
+        assert str(caught.value) == message
 
 
 def test_naive_pair_agrees_with_inversions_at_super():
