@@ -28,11 +28,11 @@ from .tableaux import (
 from .words import (
     Word,
     _as_word,
+    _pairing,
     braid_move,
     commutation_move,
     pairing_permutation,
     super_word,
-    word_to_permutation,
 )
 
 
@@ -125,8 +125,7 @@ def word_to_tableau(word: Word) -> Filling:
     word = _as_word(word)
     if not word:
         return Filling({})
-    v = pairing_permutation(word)  # raises unless the word is reduced
-    w = word_to_permutation(word)
+    v, w, _ = _pairing(word)  # raises unless the word is reduced
     d = rothe_diagram(w)
     rows = d.rows()
     blocks: list[tuple[int, ...]] = []

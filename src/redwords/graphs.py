@@ -60,13 +60,13 @@ def lookup_model(name: str) -> Model:
 
 class MoveGraph:
     """Undirected simple graph whose edges are single nontrivial moves,
-    with a rank (inversion number) per vertex.
+    with a rank (inversion number) per vertex, stored as its move table.
 
-    ``table`` is the move table: for move slot m of ``moves_for(w.length)``
-    (c1..c(ell-1), then b2..b(ell-1)), ``table[m * len(vertices) + k]`` is
-    the index of that move's image of vertex k, or k when the move leaves it
-    unchanged.  ``build_graph`` and ``graph_from_json`` fill it together
-    with the edges and each vertex's neighbour list.
+    For move slot m of ``moves_for(w.length)`` (c1..c(ell-1), then
+    b2..b(ell-1)), ``table[m * len(vertices) + k]`` is the index of that
+    move's image of vertex k, or k when the move leaves it unchanged.  The
+    table is the whole graph: each vertex's neighbours and the edge list are
+    derived from it on each read.
     """
 
     def __init__(
@@ -77,17 +77,13 @@ class MoveGraph:
         ranks: Iterable[int],
         index: dict[Vertex, int],
         table: array,
-        edges: Iterable[tuple[int, int, str]],
-        adjacency: list[list[tuple[int, bool]]],
     ):
         self.model = model
         self.w = w
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
         self.ranks: tuple[int, ...] = tuple(ranks)
         self.table = table
-        self.edges: tuple[tuple[int, int, str], ...] = tuple(edges)
         self._index = index
-        self._adjacency = adjacency
 
     def __eq__(self, other) -> bool:
         return (
@@ -95,7 +91,6 @@ class MoveGraph:
             and self.model == other.model
             and self.w == other.w
             and self.vertices == other.vertices
-            and self.edges == other.edges
             and self.ranks == other.ranks
             and self.table == other.table
         )
@@ -106,6 +101,16 @@ class MoveGraph:
             f"|V|={len(self.vertices)}, |E|={len(self.edges)})"
         )
 
+    @property
+    def edges(self) -> tuple[tuple[int, int, str], ...]:
+        """Every (k, j, label) with k < j the image of vertex k under the
+        move ``label``, sorted."""
+        size, edges = len(self.vertices), []
+        for slot, move in enumerate(moves_for(self.w.length)):
+            label, images = move.label, self.table[slot * size : (slot + 1) * size]
+            edges.extend((k, j, label) for k, j in enumerate(images) if k < j)
+        return tuple(sorted(edges))
+
     def index_of(self, vertex: Vertex) -> int:
         try:
             return self._index[vertex]
@@ -113,13 +118,12 @@ class MoveGraph:
             raise ValueError(f"vertex not in graph: {vertex}") from None
 
     def neighbors(self, idx: int) -> list[tuple[int, bool]]:
-        return self._adjacency[idx]
-
-
-def _blank(size: int, moves: int) -> tuple[array, list[list[tuple[int, bool]]]]:
-    """A move table in which every move fixes each of ``size`` vertices, and
-    as many empty neighbour lists."""
-    return array("i", range(size)) * moves, [[] for _ in range(size)]
+        """The images of vertex ``idx`` other than itself, in move-slot
+        order, each with whether its move is a braid."""
+        size = len(self.vertices)
+        first_braid = (len(self.table) // size + 1) // 2  # of 2ell-3 slots, ell-1 commute
+        images = self.table[idx::size]
+        return [(j, slot >= first_braid) for slot, j in enumerate(images) if j != idx]
 
 
 def build_graph(
@@ -132,8 +136,7 @@ def build_graph(
     Refuses to enumerate past ``max_vertices``.  Edge labels carry the
     right-to-left index (words) or entry value (tableaux) of the move, so
     the two models are comparable under the matching bijection.  Each move
-    is applied once to each vertex; its image fills the move table and,
-    from the lower end, the edge list and both ends' neighbour lists.
+    is applied once to each vertex, and its image fills the move table.
     """
     m = lookup_model(model)
     vertices: list[Vertex] = []
@@ -149,37 +152,31 @@ def build_graph(
     size = len(vertices)
     index = {v: k for k, v in enumerate(vertices)}
     moves = [
-        (getattr(move, m.act), move.kind == "b", move.label, slot * size)
+        (getattr(move, m.act), move.label, slot * size)
         for slot, move in enumerate(moves_for(w.length))
     ]
-    table, adjacency = _blank(size, len(moves))
-    edges: list[tuple[int, int, str]] = []
+    table = array("i", range(size)) * len(moves)  # every move fixes every vertex
     for k, element in enumerate(vertices):
-        for act, braid, label, base in moves:
+        for act, label, base in moves:
             other = act(element)
             if other is not element:
                 try:
-                    j = index[other]
+                    table[base + k] = index[other]
                 except KeyError:
                     raise ValueError(
                         f"move {label} takes {element} to {other}, which is not an element of {w}"
                     ) from None
-                table[base + k] = j
-                if k < j:  # every move is an involution: record each edge once
-                    edges.append((k, j, label))
-                    adjacency[k].append((j, braid))
-                    adjacency[j].append((k, braid))
-    edges.sort()
-    return MoveGraph(model, w, vertices, ranks, index, table, edges, adjacency)
+    return MoveGraph(model, w, vertices, ranks, index, table)
 
 
 def _bfs(g: MoveGraph, source: int) -> list[int]:
-    dist = [-1] * len(g.vertices)
+    size, table = len(g.vertices), g.table
+    dist = [-1] * size
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v, _ in g.neighbors(u):
+        for v in table[u::size]:  # u itself is already reached
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -200,18 +197,18 @@ def shortest_paths(g: MoveGraph, source: Vertex) -> tuple[list[int], list[int]]:
     shortest paths from it, both indexed like ``g.vertices``; an unreached
     vertex reads -1 in both.
 
-    One BFS, then one pass in order of distance: a vertex's braid count is
-    the least over its neighbours one step closer to the source.
+    One BFS, then one pass in order of distance: each vertex offers its
+    braid count, plus one for a braid, to its images one step farther out,
+    which keep the least offer.
     """
     dist = _bfs(g, g.index_of(source))
     braids = [0 if d == 0 else -1 for d in dist]
-    for v in sorted(range(len(dist)), key=dist.__getitem__):
-        if dist[v] > 0:
-            braids[v] = min(
-                braids[u] + braid
-                for u, braid in g.neighbors(v)
-                if dist[u] == dist[v] - 1
-            )
+    for u in sorted(range(len(dist)), key=dist.__getitem__):
+        for v, braid in g.neighbors(u):
+            if dist[v] == dist[u] + 1 > 0:  # one step farther out from a reached u
+                offer = braids[u] + braid
+                if not 0 <= braids[v] <= offer:
+                    braids[v] = offer
     return dist, braids
 
 
@@ -270,67 +267,39 @@ def diameter(g: MoveGraph, w0_shortcut: bool = False) -> int:
 def validate_ranked_poset(g: MoveGraph) -> list[CheckResult]:
     """Rank sanity for the move graph: edges step ranks by one, a single
     rank-zero vertex exists, covers go down, and rank equals the BFS
-    distance to the rank-zero vertex."""
-    results = []
-
+    distance to the rank-zero vertex.  A failure names the first edge
+    (u, v), u < v, or the first vertex at fault."""
+    size, table, ranks = len(g.vertices), g.table, g.ranks
     bad_edge = next(
         (
             (u, v)
-            for u, v, _ in g.edges
-            if abs(g.ranks[u] - g.ranks[v]) != 1
+            for u in range(size)
+            for v in sorted(table[u::size])
+            if u < v and abs(ranks[u] - ranks[v]) != 1
         ),
         None,
     )
-    results.append(
-        CheckResult(
-            "edges_step_rank_by_one",
-            bad_edge is None,
-            None if bad_edge is None else f"edge {bad_edge}",
-        )
-    )
-
-    zeros = [k for k, r in enumerate(g.ranks) if r == 0]
-    results.append(
-        CheckResult(
-            "unique_rank_zero",
-            len(zeros) == 1,
-            None if len(zeros) == 1 else f"rank-0 vertices: {len(zeros)}",
-        )
-    )
-
+    zeros = [k for k, r in enumerate(ranks) if r == 0]
     uncovered = next(
         (
             k
-            for k, r in enumerate(g.ranks)
-            if r > 0 and not any(g.ranks[v] == r - 1 for v, _ in g.neighbors(k))
+            for k, r in enumerate(ranks)
+            if r > 0 and all(ranks[v] != r - 1 for v in table[k::size])
         ),
         None,
     )
-    results.append(
-        CheckResult(
-            "covers_descend",
-            uncovered is None,
-            None if uncovered is None else f"vertex {uncovered}",
-        )
-    )
-
+    distance_fail = "no unique rank-0 vertex"
     if len(zeros) == 1:
         dist = _bfs(g, zeros[0])
-        mismatch = next(
-            (k for k in range(len(g.vertices)) if dist[k] != g.ranks[k]), None
-        )
-        results.append(
-            CheckResult(
-                "rank_is_distance_to_zero",
-                mismatch is None,
-                None if mismatch is None else f"vertex {mismatch}",
-            )
-        )
-    else:
-        results.append(
-            CheckResult("rank_is_distance_to_zero", False, "no unique rank-0 vertex")
-        )
-    return results
+        mismatch = next((k for k in range(size) if dist[k] != ranks[k]), None)
+        distance_fail = None if mismatch is None else f"vertex {mismatch}"
+    details = {
+        "edges_step_rank_by_one": None if bad_edge is None else f"edge {bad_edge}",
+        "unique_rank_zero": None if len(zeros) == 1 else f"rank-0 vertices: {len(zeros)}",
+        "covers_descend": None if uncovered is None else f"vertex {uncovered}",
+        "rank_is_distance_to_zero": distance_fail,
+    }
+    return [CheckResult(name, detail is None, detail) for name, detail in details.items()]
 
 
 def to_dot(g: MoveGraph) -> str:
@@ -369,31 +338,36 @@ def export(g: MoveGraph, format: str) -> str:
 
 
 def graph_from_json(text: str) -> MoveGraph:
-    """Rebuild a graph from its JSON export; its edges fill the move table."""
+    """Rebuild a graph from its JSON export; its edges fill the move table.
+
+    The vertex ids must be 0..V-1, each once, with no element twice, and
+    each edge must be a move of w between two vertices, given once."""
     payload = json.loads(text)
     model = payload["model"]
     parse = lookup_model(model).type.from_text
     w = Permutation.from_text(payload["w"])
     records = sorted(payload["vertices"], key=lambda rec: rec["id"])
+    size = len(records)
+    ids = [rec["id"] for rec in records]
+    if ids != list(range(size)):
+        twice = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if twice is not None:
+            raise ValueError(f"vertex id {twice} given twice")
+        raise ValueError(f"vertex ids are not 0..{size - 1}")
     vertices = [parse(rec["elem"]) for rec in records]
+    index = {v: k for k, v in enumerate(vertices)}
+    if len(index) < size:
+        twice = next(v for k, v in enumerate(vertices) if index[v] != k)
+        raise ValueError(f"element {twice} given twice")
     ranks = [rec["rank"] for rec in records]
-    size = len(vertices)
-    moves = {
-        move.label: (slot * size, move.kind == "b")
-        for slot, move in enumerate(moves_for(w.length))
-    }
-    table, adjacency = _blank(size, len(moves))
-    edges = []
+    bases = {move.label: slot * size for slot, move in enumerate(moves_for(w.length))}
+    table = array("i", range(size)) * len(bases)  # every move fixes every vertex
     for e in payload["edges"]:
         u, v, label = e["u"], e["v"], e["move"]
-        if label not in moves or u == v or not (0 <= u < size and 0 <= v < size):
+        if label not in bases or u == v or not (0 <= u < size and 0 <= v < size):
             raise ValueError(f"not a move of {w}: {label} from {u} to {v}")
-        base, braid = moves[label]
+        base = bases[label]
         if table[base + u] != u or table[base + v] != v:
             raise ValueError(f"move {label} given twice at vertex {u} or {v}")
         table[base + u], table[base + v] = v, u
-        adjacency[u].append((v, braid))
-        adjacency[v].append((u, braid))
-        edges.append((u, v, label))
-    index = {v: k for k, v in enumerate(vertices)}
-    return MoveGraph(model, w, vertices, ranks, index, table, edges, adjacency)
+    return MoveGraph(model, w, vertices, ranks, index, table)

@@ -21,14 +21,15 @@ Six rules keep a run from doing the same work twice:
   built once per run; the bijection checks read those vertex lists;
 - the words of w are matched with its tableaux once, by
   ``bijection.match_by_permutation`` over those two vertex lists, and both
-  correspondence checks read that one matching;
+  correspondence checks read that one matching and its one comparison with
+  the two move tables (``edge_failure``);
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, which every check
   that asks it shares, not by one search per vertex; that pass also shows
   whether the graph is connected;
 - each move is applied once, by ``graphs.build_graph``; checks read its
-  move table;
+  move table; no check reads an edge list;
 - each statistic of each element (its rank, column inversions, balance,
   flip, complement) is computed once per run, through its module so that a
   rebound function still reaches the check, into a per-vertex table of the
@@ -121,7 +122,7 @@ def _poset_isomorphism(c: _Checks) -> list[CheckResult]:
         ),
         None,
     )
-    edge_fail = next(_edge_failures(gw, gt, to_tab), None)
+    edge_fail = c.edge_failure
     flipped, inverse = c.table("tableaux", "flip"), c.orbit.graph(w.inverse(), "tableaux")
 
     def flip_of(j: int) -> diagrams.Filling:
@@ -144,17 +145,6 @@ def _poset_isomorphism(c: _Checks) -> list[CheckResult]:
         CheckResult("edges_correspond", edge_fail is None, edge_fail),
         CheckResult("flip_matches_reversal", square_fail is None, square_fail),
     ]
-
-
-def _edge_failures(gw: graphs.MoveGraph, gt: graphs.MoveGraph, to_tab: list[int]):
-    """A detail for each move that the matching ``to_tab`` does not carry
-    from a word to its tableau: the word table, mapped through the
-    matching, must equal the tableau table."""
-    size, moves = len(gw.vertices), bijection.moves_for(gw.w.length)
-    for k, rho in enumerate(gw.vertices):
-        for m, move in enumerate(moves):
-            if to_tab[gw.table[m * size + k]] != gt.table[m * size + to_tab[k]]:
-                yield f"w={gw.w} word={rho} move={move.label}"
 
 
 def run_suite(n: int) -> list[CheckResult]:
@@ -269,6 +259,19 @@ class _Checks:
         gw, gt = self.word_graph, self.tableau_graph
         matching = bijection.match_by_permutation(gw.vertices, gt.vertices)
         return None if matching is None else [gt.index_of(matching[rho]) for rho in gw.vertices]
+
+    @functools.cached_property
+    def edge_failure(self) -> str | None:
+        """The first move, in word order, that the matching does not carry
+        from a word to its tableau: the word table, mapped through the
+        matching, must equal the tableau table.  Needs the matching."""
+        gw, gt, to_tab = self.word_graph, self.tableau_graph, self.to_tab
+        size, moves = len(gw.vertices), bijection.moves_for(self.w.length)
+        for k, rho in enumerate(gw.vertices):
+            for m, move in enumerate(moves):
+                if to_tab[gw.table[m * size + k]] != gt.table[m * size + to_tab[k]]:
+                    return f"w={self.w} word={rho} move={move.label}"
+        return None
 
     @functools.cached_property
     def w0_extremes(self) -> tuple[list[int], list[int], int]:
@@ -532,17 +535,13 @@ class _Checks:
         return None
 
     def graph_models_isomorphic(self) -> str | None:
-        w, gw, gt, to_tab = self.w, self.word_graph, self.tableau_graph, self.to_tab
+        w, gw, to_tab = self.w, self.word_graph, self.to_tab
         if to_tab is None:
             return f"w={w}: no bijection"
-        word_edges = {
-            (min(to_tab[u], to_tab[v]), max(to_tab[u], to_tab[v]), label)
-            for u, v, label in gw.edges
-        }
-        if word_edges != set(gt.edges):
+        if self.edge_failure is not None:
             return f"w={w}: edge sets differ"
         for rho, r, j in zip(gw.vertices, gw.ranks, to_tab):
-            if r != gt.ranks[j]:
+            if r != self.tableau_graph.ranks[j]:
                 return f"w={w}: rank mismatch at {rho}"
         return None
 

@@ -228,9 +228,11 @@ def braid_move(word: Word, i: int) -> Word:
 
 
 @lru_cache(maxsize=64)
-def _pairing(word: Word) -> tuple[Permutation, Word, int]:
-    """A reduced word's pairing permutation, the super word it pairs against
-    and the permutation's inversion number; see ``pairing_permutation``.
+def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
+    """A reduced word's pairing permutation, the permutation w it is a word
+    for (of rank max(word) + 1, as ``word_to_permutation`` gives it), and
+    the pairing's inversion number; see ``pairing_permutation``.  The super
+    word it pairs against is ``_super_word(w)``.
 
     The pairings of the last 64 words are kept, so the rank, the tableau
     and the braid count of one word share one scan; the results are
@@ -245,7 +247,8 @@ def _pairing(word: Word) -> tuple[Permutation, Word, int]:
         if a > b:
             raise ValueError(f"word is not reduced: {word}")
         v[letter - 1], v[letter] = b, a
-    pi = _super_word(tuple(v))
+    w = tuple.__new__(Permutation, v)
+    pi = _super_word(w)
     letters, slots = list(word), list(range(ell))  # unmatched letters, their display slots
     out, inversions = [0] * ell, 0
     for i, k in zip(range(ell - 1, -1, -1), pi):
@@ -263,7 +266,7 @@ def _pairing(word: Word) -> tuple[Permutation, Word, int]:
         out[i] = ell - slot
         # entries placed so far sit right of i; those of later slots are smaller
         inversions += ell - 1 - slot - (len(slots) - p)
-    return tuple.__new__(Permutation, out), pi, inversions
+    return tuple.__new__(Permutation, out), w, inversions
 
 
 def pairing_permutation(word: Word | Iterable[int]) -> Permutation:
@@ -294,8 +297,8 @@ def word_inversions(word: Word | Iterable[int]) -> int:
     word = _as_word(word)
     if not word:
         return 0
-    _, pi, inversions = _pairing(word)
-    return inversions - (sum(pi) - sum(word))
+    _, w, inversions = _pairing(word)
+    return inversions - (sum(_super_word(w)) - sum(word))
 
 
 def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
@@ -307,14 +310,14 @@ def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
     identity, since each super letter matches the first unmatched letter,
     itself.  When both words are bad, sigma's error is raised."""
     try:
-        u_rho, pi_rho, _ = _pairing(rho)
+        u_rho, w_rho, _ = _pairing(rho)
     except ValueError:
         _pairing(sigma)  # raises sigma's error, if any, first
         raise
     u = u_rho.inverse()
-    if sigma != pi_rho:
-        u_sigma, pi_sigma, _ = _pairing(sigma)
-        if pi_sigma != pi_rho:  # reduced words share a permutation iff they share a super word
+    if sigma != _super_word(w_rho):
+        u_sigma, w_sigma, _ = _pairing(sigma)
+        if w_sigma != w_rho:  # reduced words of one permutation share their largest letter
             n = max(max(rho), max(sigma)) + 1
             w_rho = word_to_permutation(rho, n)
             w_sigma = word_to_permutation(sigma, n)

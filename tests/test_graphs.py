@@ -420,6 +420,76 @@ def test_graph_from_json_rejects_edges_that_are_not_moves(edit, message):
         graph_from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda payload: payload["vertices"][1].update(id=0), "vertex id 0 given twice"),
+        (lambda payload: payload["vertices"][2].update(id=7), "vertex ids are not 0..2"),
+        (lambda payload: payload["vertices"][0].update(id=-1), "vertex ids are not 0..2"),
+        (
+            lambda payload: payload["vertices"][2].update(elem="1,3,2,1"),
+            "element 1,3,2,1 given twice",
+        ),
+    ],
+    ids=["id_twice", "id_past_the_end", "id_negative", "element_twice"],
+)
+def test_graph_from_json_rejects_vertex_lists_that_are_not_sets(edit, message):
+    """Vertex ids must be 0..V-1, each once, and no element may be listed
+    twice (else ``index_of`` would answer only one of its copies)."""
+    payload = json.loads(to_json(build_graph(Permutation([3, 2, 4, 1]), "words")))
+    assert [(v["id"], v["elem"]) for v in payload["vertices"]] == [
+        (0, "1,3,2,1"), (1, "3,1,2,1"), (2, "3,2,1,2")
+    ]
+    edit(payload)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        graph_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_json_import_puts_edges_in_canonical_order(model):
+    """Edges listed in reverse, each with its ends swapped, import as the
+    built graph and export as it does, byte for byte."""
+    g = build_graph(Permutation([4, 2, 1, 5, 3]), model)
+    text = to_json(g)
+    payload = json.loads(text)
+    payload["edges"] = [
+        {"u": e["v"], "v": e["u"], "move": e["move"]} for e in reversed(payload["edges"])
+    ]
+    h = graph_from_json(json.dumps(payload))
+    assert h == g
+    assert h.edges == g.edges
+    assert to_json(h) == text
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="rank-6 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_rank6_graph_pair_fits_under_500_mb_stress():
+    """Both move graphs of the longest permutation of rank 6, held together
+    in one fresh process, peak under 500 MB of resident memory."""
+    import subprocess
+    import sys
+
+    import redwords
+
+    script = (
+        "import resource\n"
+        "from redwords import Permutation, build_graph\n"
+        "w0 = Permutation.longest(6)\n"
+        "pair = [build_graph(w0, model) for model in ('words', 'tableaux')]\n"
+        "assert [len(g.vertices) for g in pair] == [292864, 292864]\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(redwords.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 500, f"peak RSS {peak_mb:.0f} MB"
+
+
 @pytest.mark.parametrize("model", ["words", "tableaux"])
 def test_build_graph_names_a_move_image_outside_the_vertex_set(monkeypatch, model):
     w = Permutation([4, 3, 2, 1])
