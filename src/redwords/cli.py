@@ -51,9 +51,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _read_word(text: str) -> Word:
+    rho = Word.from_text(text)
+    if max(rho, default=0) > DEFAULT_VERTEX_BUDGET:  # a letter k acts on k+1 points
+        raise ValueError(f"letter {max(rho)} is over the limit of {DEFAULT_VERTEX_BUDGET}")
+    return rho
+
+
 def _read_tableau(path: str) -> Filling:
     text = Path(path).read_text()
     filling = Filling.from_text(text)
+    far = max((max(cell) for cell in filling.cells), default=0)
+    if far > DEFAULT_VERTEX_BUDGET:  # a cell in row or column k needs more than k points
+        raise ValueError(
+            f"tableau in {path} has a cell in row or column {far}, "
+            f"over the limit of {DEFAULT_VERTEX_BUDGET}"
+        )
     if len(filling) and not is_balanced(filling):
         raise ValueError(f"tableau in {path} is not balanced")
     permutation_of_diagram(filling.diagram)  # rejects non-Rothe shapes
@@ -99,7 +112,7 @@ def _cmd_super(args) -> int:
 
 def _cmd_inv(args) -> int:
     if args.word is not None:
-        rho = Word.from_text(args.word)
+        rho = _read_word(args.word)
         if not rho:
             payload = {"inversions": 0, "permutation": "", "yang_baxter": 0}
         else:
@@ -148,7 +161,7 @@ def _cmd_diameter(args) -> int:
 
 def _cmd_biject(args) -> int:
     if args.word is not None:
-        rho = Word.from_text(args.word)
+        rho = _read_word(args.word)
         payload, lines = _tableau_payload(word_to_tableau(rho))
         _emit(payload, lines, args.json)
     else:

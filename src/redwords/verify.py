@@ -32,11 +32,12 @@ Six rules keep a run from doing the same work twice:
   move table; no check reads an edge list;
 - each statistic of each element (its rank, column inversions, balance,
   flip, complement) is computed once per run, through its module so that a
-  rebound function still reaches the check, into a per-vertex table of the
-  orbit that every check reading it shares; flip and complement are tabled
-  as vertex indices, so their involution tests compare indices; a move
-  image equal to its source is not examined again, and a source's rank is
-  read from its graph;
+  rebound function still reaches the check, into a list filled once per
+  (member, model, statistic) that every check reading it shares; flip and
+  complement are listed as vertex indices, -1 outside the inverse's graph,
+  so their involution tests compare indices; both move checks share one
+  loop, in which a move image equal to its source is not examined again
+  and a source's rank is read from its graph;
 - the super word of w is built once, by ``words.super_word``, which keeps
   it for the calls that follow on the same w; no check hands it on.
 """
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
 
 from . import bijection, diagrams, graphs, tableaux, words
 from .perms import Permutation, all_permutations
@@ -110,7 +110,7 @@ def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
 def _poset_isomorphism(c: _Checks) -> list[CheckResult]:
     """``verify_poset_isomorphism`` on the graphs, matching and tables of
     the context ``c`` of w."""
-    w, gw, gt, to_tab = c.w, c.word_graph, c.tableau_graph, c.to_tab
+    w, gw, to_tab = c.w, c.word_graph, c.to_tab
     if to_tab is None:
         return [CheckResult("perm_matching_bijection", False, f"w={w}")]
     word_rank, rank = c.table("words", "word_inversions"), c.table("tableaux", "tab_inversions")
@@ -118,24 +118,18 @@ def _poset_isomorphism(c: _Checks) -> list[CheckResult]:
         (
             f"w={w} word={rho}"
             for k, (rho, j) in enumerate(zip(gw.vertices, to_tab))
-            if word_rank(k) != rank(j)
+            if word_rank[k] != rank[j]
         ),
         None,
     )
     edge_fail = c.edge_failure
     flipped, inverse = c.table("tableaux", "flip"), c.orbit.graph(w.inverse(), "tableaux")
-
-    def flip_of(j: int) -> diagrams.Filling:
-        """Tableau j's flip, from the flip map unless it lies outside the
-        graph of w^-1."""
-        f = flipped(j)
-        return inverse.vertices[f] if f >= 0 else tableaux.flip(gt.vertices[j])
-
     square_fail = next(
         (
             f"w={w} word={rho}"
             for rho, j in zip(gw.vertices, to_tab)
-            if bijection.word_to_tableau(rho.reverse()) != flip_of(j)
+            if flipped[j] < 0  # a flip outside the graph of w^-1
+            or bijection.word_to_tableau(rho.reverse()) != inverse.vertices[flipped[j]]
         ),
         None,
     )
@@ -185,49 +179,67 @@ def _check_orbit(w: Permutation, n: int, failures: dict, scope: list[int]) -> No
 
 
 # The module holding each model's statistics, and the statistics whose
-# values are elements of the inverse permutation, tabled as vertex indices.
+# values are elements of the inverse permutation, listed as vertex indices.
 _MODULES = {"words": words, "tableaux": tableaux}
 _MAPS = ("flip", "psi")
 
 
 class _Orbit:
-    """The move graphs of an inverse pair {w, w^-1}, each built on first
-    request, and the per-vertex tables of their elements' statistics."""
+    """The move graphs of an inverse pair {w, w^-1} and the lists of their
+    elements' statistics, each made on first request."""
 
     def __init__(self):
         self._graphs: dict[tuple[Permutation, str], graphs.MoveGraph] = {}
-        self._tables: dict[tuple[Permutation, str, str], Callable[[int], object]] = {}
+        self._tables: dict[tuple[Permutation, str, str], list] = {}
 
     def graph(self, v: Permutation, model: str) -> graphs.MoveGraph:
         if (v, model) not in self._graphs:
             self._graphs[v, model] = graphs.build_graph(v, model)
         return self._graphs[v, model]
 
-    def table(self, v: Permutation, model: str, name: str) -> Callable[[int], object]:
-        """The statistic ``name`` of the model's module on the vertices of
-        v's graph, as a function of the vertex index that calls it, through
-        the module, on the first read of each vertex only.  A flip or psi
-        image reads as its index in the graph of v^-1, or -1 outside it."""
+    def table(self, v: Permutation, model: str, name: str) -> list:
+        """The statistic ``name`` of the model's module on each vertex of
+        v's graph, in vertex order, called through the module once per
+        vertex.  A flip or psi image is listed as its index in the graph of
+        v^-1, or -1 outside it."""
         key = (v, model, name)
         if key not in self._tables:
-            vertices, module = self.graph(v, model).vertices, _MODULES[model]
-            index_of = self.graph(v.inverse(), model).index_of if name in _MAPS else None
-            values = [None] * len(vertices)
-
-            def read(k: int):
-                value = values[k]
-                if value is None:
-                    value = getattr(module, name)(vertices[k])
-                    if index_of is not None:
-                        try:
-                            value = index_of(value)
-                        except ValueError:
-                            value = -1
-                    values[k] = value
-                return value
-
-            self._tables[key] = read
+            statistic = getattr(_MODULES[model], name)
+            values = [statistic(e) for e in self.graph(v, model).vertices]
+            if name in _MAPS:
+                inverse = self.graph(v.inverse(), model)
+                values = [_index_or_outside(inverse, e) for e in values]
+            self._tables[key] = values
         return self._tables[key]
+
+
+def _index_or_outside(g: graphs.MoveGraph, element) -> int:
+    """element's vertex index in g, or -1 when it is not a vertex of g."""
+    try:
+        return g.index_of(element)
+    except ValueError:
+        return -1
+
+
+def _first_bad_move(g: graphs.MoveGraph, valid: list, rank: list[int], invalid: str):
+    """The first (vertex, move, fault), in vertex then move order, at which
+    a move of g takes a vertex to an image that is not ``valid`` (fault
+    ``invalid``), is not an involution, or does not step ``rank`` by one
+    from the source's rank in g; None when every move passes."""
+    size, table = len(g.vertices), g.table
+    moves = tuple(zip(bijection.moves_for(g.w.length), range(0, len(table), size)))
+    for k, (stays, inv) in enumerate(zip(valid, g.ranks)):
+        for move, base in moves:
+            j = table[base + k]
+            if j == k and stays:  # an unmoved image has its source's tests
+                continue
+            if not valid[j]:
+                return k, move, invalid
+            if table[base + j] != k:
+                return k, move, "not an involution"
+            if abs(rank[j] - inv) != 1:
+                return k, move, "rank step != 1"
+    return None
 
 
 class _Checks:
@@ -238,7 +250,7 @@ class _Checks:
         self.w, self.n, self.orbit, self.scope = w, n, orbit, scope
         self.word_graph, self.tableau_graph = orbit.graph(w, "words"), orbit.graph(w, "tableaux")
 
-    def table(self, model: str, name: str) -> Callable[[int], object]:
+    def table(self, model: str, name: str) -> list:
         """The orbit's table of the statistic ``name`` on w's graph of model."""
         return self.orbit.table(self.w, model, name)
 
@@ -319,35 +331,19 @@ class _Checks:
 
     def word_moves_involutive_rank_step(self) -> str | None:
         w, n, g = self.w, self.n, self.word_graph
-        size, table = len(g.vertices), g.table
-
-        @functools.cache
-        def reduced_for_w(k: int) -> bool:
-            word = g.vertices[k]
-            v = words.word_to_permutation(word, n)
-            return v == w and v.length == len(word)  # reduced iff as long as w
-
-        rank = self.table("words", "word_inversions")
-        moves = tuple(zip(bijection.moves_for(w.length), range(0, len(table), size)))
-        for k, (rho, inv) in enumerate(zip(g.vertices, g.ranks)):
-            stays = reduced_for_w(k)
-            for move, base in moves:
-                j = table[base + k]
-                if j == k and stays:  # an unmoved image has its source's tests
-                    continue
-                if table[base + j] != k:
-                    return f"w={w} rho={rho} {move.label}: not an involution"
-                if not reduced_for_w(j):
-                    return f"w={w} rho={rho} {move.label}: left R(w)"
-                if abs(rank(j) - inv) != 1:
-                    return f"w={w} rho={rho} {move.label}: rank step != 1"
-        return None
+        reduced = [  # a word of w is reduced iff it is as long as w
+            v == w and v.length == len(word)
+            for word in g.vertices
+            for v in (words.word_to_permutation(word, n),)
+        ]
+        bad = _first_bad_move(g, reduced, self.table("words", "word_inversions"), "left R(w)")
+        return None if bad is None else f"w={w} rho={g.vertices[bad[0]]} {bad[1].label}: {bad[2]}"
 
     def word_inversions_equal_bfs_distance(self) -> str | None:
         dist, _ = self.word_paths
         rank = self.table("words", "word_inversions")
         for k, (rho, d) in enumerate(zip(self.word_graph.vertices, dist)):
-            if d != rank(k):
+            if d != rank[k]:
                 return f"w={self.w} rho={rho}"
         return None
 
@@ -371,7 +367,7 @@ class _Checks:
     def naive_metric_agrees_at_super(self) -> str | None:
         pi, rank = words.super_word(self.w), self.table("words", "word_inversions")
         for k, rho in enumerate(self.word_graph.vertices):
-            if rho and words.naive_pair_inversions(rho, pi) != rank(k):
+            if rho and words.naive_pair_inversions(rho, pi) != rank[k]:
                 return f"w={self.w} rho={rho}"
         return None
 
@@ -426,31 +422,16 @@ class _Checks:
         return None
 
     def tableau_moves_balanced_involutive(self) -> str | None:
-        w, g = self.w, self.tableau_graph
-        size, table = len(g.vertices), g.table
-        balanced = self.table("tableaux", "is_balanced")
-        rank = self.table("tableaux", "tab_inversions")
-        moves = tuple(zip(bijection.moves_for(w.length), range(0, len(table), size)))
-        for k, inv in enumerate(g.ranks):
-            stays = balanced(k)
-            for move, base in moves:
-                j = table[base + k]
-                if j == k and stays:  # an unmoved image has its source's tests
-                    continue
-                if not balanced(j):
-                    return f"w={w} {move.label}: unbalanced image"
-                if table[base + j] != k:
-                    return f"w={w} {move.label}: not an involution"
-                if abs(rank(j) - inv) != 1:
-                    return f"w={w} {move.label}: rank step != 1"
-        return None
+        balanced, rank = (self.table("tableaux", name) for name in ("is_balanced", "tab_inversions"))
+        bad = _first_bad_move(self.tableau_graph, balanced, rank, "unbalanced image")
+        return None if bad is None else f"w={self.w} {bad[1].label}: {bad[2]}"
 
     def tableau_inversion_identity(self) -> str | None:
         rank = self.table("tableaux", "tab_inversions")
         for k, t in enumerate(self.tableau_graph.vertices):
             if not len(t):
                 continue
-            if rank(k) != tableaux.tab_permutation(t).length - tableaux.row_coinversions(t):
+            if rank[k] != tableaux.tab_permutation(t).length - tableaux.row_coinversions(t):
                 return f"w={self.w} tableau={t.to_text()}"
         return None
 
@@ -459,9 +440,9 @@ class _Checks:
         rank = self.table("tableaux", "tab_inversions")
         columns = self.table("tableaux", "column_inversions")
         for k, (t, d, b) in enumerate(zip(self.tableau_graph.vertices, dist, braids)):
-            if d != rank(k):
+            if d != rank[k]:
                 return f"w={self.w} tableau={t.to_text()}"
-            if b != columns(k):
+            if b != columns[k]:
                 return f"w={self.w} tableau={t.to_text()}: braid count"
         return None
 
@@ -479,10 +460,10 @@ class _Checks:
         columns = self.table("tableaux", "column_inversions")
         for k, t in enumerate(self.tableau_graph.vertices):
             seq = bijection.descent_to_super(t)
-            if len(seq) != rank(k):
+            if len(seq) != rank[k]:
                 return f"w={self.w} tableau={t.to_text()}: length"
             braids = sum(1 for m in seq if m.kind == "b")
-            if braids != columns(k):
+            if braids != columns[k]:
                 return f"w={self.w} tableau={t.to_text()}: braid count"
         return None
 
@@ -499,13 +480,13 @@ class _Checks:
         flipped = self.table("tableaux", "flip")
         back = self.orbit.table(w.inverse(), "tableaux", "flip")  # gi's flip map into g
         for k, t in enumerate(g.vertices):
-            f = flipped(k)
+            f = flipped[k]
             if f < 0:
                 return f"w={w} tableau={t.to_text()}: image not balanced for inverse"
-            if back(f) != k:
+            if back[f] != k:
                 return f"w={w} tableau={t.to_text()}: not an involution"
             for i, kind, slot, partner in pairs:
-                if flipped(g.table[slot * size + k]) != gi.table[partner * size + f]:
+                if flipped[g.table[slot * size + k]] != gi.table[partner * size + f]:
                     return f"w={w} tableau={t.to_text()}: {kind} intertwine i={i}"
         return None
 
@@ -550,20 +531,10 @@ class _Checks:
     def w0_complement_reverses_rank(self) -> str | None:
         expected = tableaux.min_inv_w0(self.n)
         comp, rank = self.table("tableaux", "psi"), self.table("tableaux", "tab_inversions")
-        for k, t in enumerate(self.tableau_graph.vertices):
-            if not len(t):
-                continue
-            c = comp(k)
-            if c >= 0:
-                if comp(c) != k:
-                    return f"tableau={t.to_text()}: not an involution"
-                image_rank = rank(c)
-            else:  # an image outside the graph
-                image = tableaux.psi(t)
-                if tableaux.psi(image) != t:
-                    return f"tableau={t.to_text()}: not an involution"
-                image_rank = tableaux.tab_inversions(image)
-            if rank(k) + image_rank != expected:
+        for k, (t, c) in enumerate(zip(self.tableau_graph.vertices, comp)):
+            if c < 0 or comp[c] != k:  # an image outside the graph, or not back
+                return f"tableau={t.to_text()}: not an involution"
+            if rank[k] + rank[c] != expected:
                 return f"tableau={t.to_text()}: ranks do not complement"
         return None
 

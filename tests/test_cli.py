@@ -324,6 +324,34 @@ def test_malformed_tableau_file_exits_one(tmp_path, capsys):
     assert "malformed filling text: '1,x,1'" in err
 
 
+@pytest.mark.parametrize(
+    "command,letter",
+    [("inv", "99999999999999999999"), ("biject", "99999999999999999999"), ("inv", "1000000000000")],
+)
+def test_oversize_word_letter_exits_one(capsys, command, letter):
+    """A letter past the vertex budget is refused before any kernel runs,
+    not ended in an OverflowError or MemoryError traceback."""
+    code, out, err = run_cli(capsys, command, "--word", f"1,{letter},2")
+    assert code == 1
+    assert out == ""
+    assert err == f"redwords: error: letter {letter} is over the limit of 1000000\n"
+
+
+@pytest.mark.parametrize("command", ["inv", "biject", "flip", "psi"])
+def test_oversize_tableau_cell_exits_one(tmp_path, capsys, command):
+    """A one-cell tableau at row 10^8 is refused up front instead of running
+    until killed."""
+    path = tmp_path / "tableau.txt"
+    path.write_text("100000000,1,1")
+    code, out, err = run_cli(capsys, command, "--tableau", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"redwords: error: tableau in {path} has a cell in row or column 100000000, "
+        "over the limit of 1000000\n"
+    )
+
+
 def test_diameter_shortcut_excludes_formula(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["diameter", "-n", "4", "--formula", "--shortcut"])

@@ -7,6 +7,7 @@ import pytest
 
 from redwords import (
     CheckResult,
+    Filling,
     Permutation,
     all_passed,
     Word,
@@ -348,6 +349,54 @@ def test_complement_check_sees_a_complement_that_is_not_an_involution(monkeypatc
     result = {r.name: r for r in run_suite(4)}["w0_complement_reverses_rank"]
     assert not result.passed
     assert result.detail == "tableau=1,1,3;1,2,4;1,3,2;2,1,5;2,2,6;3,1,1: not an involution"
+
+
+def _first_two_exchanged(t):
+    """t with its first two entries exchanged."""
+    return Filling(zip(t.cells, (t.entries[1], t.entries[0], *t.entries[2:])))
+
+
+@pytest.mark.parametrize(
+    "name,check,detail",
+    [
+        ("flip", "bijection_poset_isomorphism", "flip_matches_reversal: w=4,3,2,1 word=2,3,1,2,3,1"),
+        (
+            "psi",
+            "w0_complement_reverses_rank",
+            "tableau=1,1,3;1,2,4;1,3,2;2,1,5;2,2,6;3,1,1: not an involution",
+        ),
+    ],
+)
+def test_checks_see_an_image_outside_the_graph(monkeypatch, name, check, detail):
+    """tableaux.<name> sends the 4th tableau of 4,3,2,1 to its image with
+    the first two entries exchanged, which is not a tableau of 4,3,2,1: the
+    check reading that image fails at its source."""
+    ts, honest = enumerate_sbt(W0_4), getattr(tableaux, name)
+    wrong = _first_two_exchanged(honest(ts[3]))
+    assert wrong not in ts
+    monkeypatch.setattr(tableaux, name, lambda t: wrong if t == ts[3] else honest(t))
+    result = {r.name: r for r in run_suite(4)}[check]
+    assert not result.passed
+    assert result.detail == detail
+
+
+def test_word_move_check_tests_an_image_in_r_w_before_the_involution(monkeypatch):
+    """c3 takes the first word of 4,3,2,1 to a word that it then fixes, and
+    that word is read as a word of another permutation: the image has left
+    R(w), which is reported ahead of the move not being an involution."""
+    source = enumerate_reduced_words(W0_4)[0]
+    c3 = next(m for m in bijection.moves_for(len(source)) if m.label == "c3")
+    target, to_permutation = c3.on_word(source), words.word_to_permutation
+    _fix_one_image(monkeypatch, "on_word", source, "c3")
+
+    def misplaced(word, *args):
+        v = to_permutation(word, *args)
+        return v.swap(1) if word == target else v
+
+    monkeypatch.setattr(words, "word_to_permutation", misplaced)
+    result = {r.name: r for r in run_suite(4)}["word_moves_involutive_rank_step"]
+    assert not result.passed
+    assert result.detail == "w=4,3,2,1 rho=1,2,1,3,2,1 c3: left R(w)"
 
 
 STATISTICS = [
