@@ -65,25 +65,19 @@ class MoveGraph:
     For move slot m of ``moves_for(w.length)`` (c1..c(ell-1), then
     b2..b(ell-1)), ``table[m * len(vertices) + k]`` is the index of that
     move's image of vertex k, or k when the move leaves it unchanged.  The
-    table is the whole graph: each vertex's neighbours and the edge list are
-    derived from it on each read.
+    graph makes its vertex index and a table in which every move fixes every
+    vertex; a builder writes the images.  The table is the whole graph: each
+    vertex's images, its neighbours and the edge list are read from it.
     """
 
-    def __init__(
-        self,
-        model: str,
-        w: Permutation,
-        vertices: Iterable[Vertex],
-        ranks: Iterable[int],
-        index: dict[Vertex, int],
-        table: array,
-    ):
+    def __init__(self, model: str, w: Permutation, vertices: Iterable[Vertex], ranks: Iterable[int]):
         self.model = model
         self.w = w
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
         self.ranks: tuple[int, ...] = tuple(ranks)
-        self.table = table
-        self._index = index
+        self._index = {v: k for k, v in enumerate(self.vertices)}
+        self._moves = moves_for(w.length)  # the move of each slot
+        self.table = array("i", range(len(self.vertices))) * len(self._moves)
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,7 +100,7 @@ class MoveGraph:
         """Every (k, j, label) with k < j the image of vertex k under the
         move ``label``, sorted."""
         size, edges = len(self.vertices), []
-        for slot, move in enumerate(moves_for(self.w.length)):
+        for slot, move in enumerate(self._moves):
             label, images = move.label, self.table[slot * size : (slot + 1) * size]
             edges.extend((k, j, label) for k, j in enumerate(images) if k < j)
         return tuple(sorted(edges))
@@ -117,13 +111,14 @@ class MoveGraph:
         except KeyError:
             raise ValueError(f"vertex not in graph: {vertex}") from None
 
+    def images(self, k: int) -> array:
+        """Vertex k's image under each move, in move-slot order."""
+        return self.table[k :: len(self.vertices)]
+
     def neighbors(self, idx: int) -> list[tuple[int, bool]]:
         """The images of vertex ``idx`` other than itself, in move-slot
         order, each with whether its move is a braid."""
-        size = len(self.vertices)
-        first_braid = (len(self.table) // size + 1) // 2  # of 2ell-3 slots, ell-1 commute
-        images = self.table[idx::size]
-        return [(j, slot >= first_braid) for slot, j in enumerate(images) if j != idx]
+        return [(j, move.kind == "b") for move, j in zip(self._moves, self.images(idx)) if j != idx]
 
 
 def build_graph(
@@ -147,15 +142,9 @@ def build_graph(
                 f"vertex budget exceeded: more than {max_vertices} elements"
             )
     vertices.sort(key=m.order)
-    ranks = [m.rank(element) for element in vertices]
-
-    size = len(vertices)
-    index = {v: k for k, v in enumerate(vertices)}
-    moves = [
-        (getattr(move, m.act), move.label, slot * size)
-        for slot, move in enumerate(moves_for(w.length))
-    ]
-    table = array("i", range(size)) * len(moves)  # every move fixes every vertex
+    g = MoveGraph(model, w, vertices, [m.rank(element) for element in vertices])
+    size, index, table = len(vertices), g._index, g.table
+    moves = [(getattr(move, m.act), move.label, slot * size) for slot, move in enumerate(g._moves)]
     for k, element in enumerate(vertices):
         for act, label, base in moves:
             other = act(element)
@@ -166,7 +155,7 @@ def build_graph(
                     raise ValueError(
                         f"move {label} takes {element} to {other}, which is not an element of {w}"
                     ) from None
-    return MoveGraph(model, w, vertices, ranks, index, table)
+    return g
 
 
 def _bfs(g: MoveGraph, source: int) -> list[int]:
@@ -269,29 +258,25 @@ def validate_ranked_poset(g: MoveGraph) -> list[CheckResult]:
     rank-zero vertex exists, covers go down, and rank equals the BFS
     distance to the rank-zero vertex.  A failure names the first edge
     (u, v), u < v, or the first vertex at fault."""
-    size, table, ranks = len(g.vertices), g.table, g.ranks
-    bad_edge = next(
+    ranks = g.ranks
+    bad_edge = next(  # in (u, v) order; listing g.edges would hold every edge at once
         (
             (u, v)
-            for u in range(size)
-            for v in sorted(table[u::size])
-            if u < v and abs(ranks[u] - ranks[v]) != 1
+            for u, r in enumerate(ranks)
+            for v in sorted(g.images(u))
+            if u < v and abs(r - ranks[v]) != 1
         ),
         None,
     )
     zeros = [k for k, r in enumerate(ranks) if r == 0]
     uncovered = next(
-        (
-            k
-            for k, r in enumerate(ranks)
-            if r > 0 and all(ranks[v] != r - 1 for v in table[k::size])
-        ),
+        (k for k, r in enumerate(ranks) if r > 0 and all(ranks[v] != r - 1 for v in g.images(k))),
         None,
     )
     distance_fail = "no unique rank-0 vertex"
     if len(zeros) == 1:
         dist = _bfs(g, zeros[0])
-        mismatch = next((k for k in range(size) if dist[k] != ranks[k]), None)
+        mismatch = next((k for k, (d, r) in enumerate(zip(dist, ranks)) if d != r), None)
         distance_fail = None if mismatch is None else f"vertex {mismatch}"
     details = {
         "edges_step_rank_by_one": None if bad_edge is None else f"edge {bad_edge}",
@@ -354,14 +339,11 @@ def graph_from_json(text: str) -> MoveGraph:
         if twice is not None:
             raise ValueError(f"vertex id {twice} given twice")
         raise ValueError(f"vertex ids are not 0..{size - 1}")
-    vertices = [parse(rec["elem"]) for rec in records]
-    index = {v: k for k, v in enumerate(vertices)}
-    if len(index) < size:
-        twice = next(v for k, v in enumerate(vertices) if index[v] != k)
+    g = MoveGraph(model, w, [parse(rec["elem"]) for rec in records], [rec["rank"] for rec in records])
+    if len(g._index) < size:
+        twice = next(v for k, v in enumerate(g.vertices) if g._index[v] != k)
         raise ValueError(f"element {twice} given twice")
-    ranks = [rec["rank"] for rec in records]
-    bases = {move.label: slot * size for slot, move in enumerate(moves_for(w.length))}
-    table = array("i", range(size)) * len(bases)  # every move fixes every vertex
+    table, bases = g.table, {move.label: slot * size for slot, move in enumerate(g._moves)}
     for e in payload["edges"]:
         u, v, label = e["u"], e["v"], e["move"]
         if label not in bases or u == v or not (0 <= u < size and 0 <= v < size):
@@ -370,4 +352,4 @@ def graph_from_json(text: str) -> MoveGraph:
         if table[base + u] != u or table[base + v] != v:
             raise ValueError(f"move {label} given twice at vertex {u} or {v}")
         table[base + u], table[base + v] = v, u
-    return MoveGraph(model, w, vertices, ranks, index, table)
+    return g

@@ -25,11 +25,11 @@ Six rules keep a run from doing the same work twice:
   the two move tables (``edge_failure``);
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
-  ``graphs.shortest_paths`` pass from the super element, which every check
-  that asks it shares, not by one search per vertex; that pass also shows
-  whether the graph is connected;
-- each move is applied once, by ``graphs.build_graph``; checks read its
-  move table; no check reads an edge list;
+  ``graphs.shortest_paths`` pass from the super element, which the orbit
+  holds once per (member, model) for every check that asks it, not by one
+  search per vertex; that pass also shows whether the graph is connected;
+- each move is applied once, by ``graphs.build_graph``; checks read each
+  vertex's images through ``MoveGraph.images``; no check reads an edge list;
 - each statistic of each element (its rank, column inversions, balance,
   flip, complement) is computed once per run, through its module so that a
   rebound function still reaches the check, into a list filled once per
@@ -185,11 +185,13 @@ _MAPS = ("flip", "psi")
 
 
 class _Orbit:
-    """The move graphs of an inverse pair {w, w^-1} and the lists of their
-    elements' statistics, each made on first request."""
+    """The move graphs of an inverse pair {w, w^-1}, their shortest paths
+    from the super element and the lists of their elements' statistics,
+    each made on first request."""
 
     def __init__(self):
         self._graphs: dict[tuple[Permutation, str], graphs.MoveGraph] = {}
+        self._paths: dict[tuple[Permutation, str], tuple[list[int], list[int]]] = {}
         self._tables: dict[tuple[Permutation, str, str], list] = {}
 
     def graph(self, v: Permutation, model: str) -> graphs.MoveGraph:
@@ -197,19 +199,26 @@ class _Orbit:
             self._graphs[v, model] = graphs.build_graph(v, model)
         return self._graphs[v, model]
 
+    def paths(self, v: Permutation, model: str) -> tuple[list[int], list[int]]:
+        """Distance and fewest braids from v's super element, per vertex of
+        v's graph of model."""
+        if (v, model) not in self._paths:
+            top = graphs.lookup_model(model).top(v)
+            self._paths[v, model] = graphs.shortest_paths(self.graph(v, model), top)
+        return self._paths[v, model]
+
     def table(self, v: Permutation, model: str, name: str) -> list:
         """The statistic ``name`` of the model's module on each vertex of
         v's graph, in vertex order, called through the module once per
         vertex.  A flip or psi image is listed as its index in the graph of
-        v^-1, or -1 outside it."""
+        v^-1, or -1 outside it, as soon as it is made."""
         key = (v, model, name)
         if key not in self._tables:
-            statistic = getattr(_MODULES[model], name)
-            values = [statistic(e) for e in self.graph(v, model).vertices]
+            values = map(getattr(_MODULES[model], name), self.graph(v, model).vertices)
             if name in _MAPS:
                 inverse = self.graph(v.inverse(), model)
-                values = [_index_or_outside(inverse, e) for e in values]
-            self._tables[key] = values
+                values = (_index_or_outside(inverse, e) for e in values)
+            self._tables[key] = list(values)
         return self._tables[key]
 
 
@@ -226,19 +235,17 @@ def _first_bad_move(g: graphs.MoveGraph, valid: list, rank: list[int], invalid: 
     a move of g takes a vertex to an image that is not ``valid`` (fault
     ``invalid``), is not an involution, or does not step ``rank`` by one
     from the source's rank in g; None when every move passes."""
-    size, table = len(g.vertices), g.table
-    moves = tuple(zip(bijection.moves_for(g.w.length), range(0, len(table), size)))
+    moves = bijection.moves_for(g.w.length)
     for k, (stays, inv) in enumerate(zip(valid, g.ranks)):
-        for move, base in moves:
-            j = table[base + k]
+        for slot, j in enumerate(g.images(k)):
             if j == k and stays:  # an unmoved image has its source's tests
                 continue
             if not valid[j]:
-                return k, move, invalid
-            if table[base + j] != k:
-                return k, move, "not an involution"
+                return k, moves[slot], invalid
+            if g.images(j)[slot] != k:
+                return k, moves[slot], "not an involution"
             if abs(rank[j] - inv) != 1:
-                return k, move, "rank step != 1"
+                return k, moves[slot], "rank step != 1"
     return None
 
 
@@ -254,15 +261,9 @@ class _Checks:
         """The orbit's table of the statistic ``name`` on w's graph of model."""
         return self.orbit.table(self.w, model, name)
 
-    @functools.cached_property
-    def word_paths(self) -> tuple[list[int], list[int]]:
-        """Distance and fewest braids from the super word, per vertex."""
-        return graphs.shortest_paths(self.word_graph, words.super_word(self.w))
-
-    @functools.cached_property
-    def tableau_paths(self) -> tuple[list[int], list[int]]:
-        """Distance and fewest braids from the super tableau, per vertex."""
-        return graphs.shortest_paths(self.tableau_graph, diagrams.super_tableau(self.w))
+    def paths(self, model: str) -> tuple[list[int], list[int]]:
+        """The orbit's distances and fewest braids from w's super element."""
+        return self.orbit.paths(self.w, model)
 
     @functools.cached_property
     def to_tab(self) -> list[int] | None:
@@ -278,10 +279,10 @@ class _Checks:
         from a word to its tableau: the word table, mapped through the
         matching, must equal the tableau table.  Needs the matching."""
         gw, gt, to_tab = self.word_graph, self.tableau_graph, self.to_tab
-        size, moves = len(gw.vertices), bijection.moves_for(self.w.length)
+        moves = bijection.moves_for(self.w.length)
         for k, rho in enumerate(gw.vertices):
-            for m, move in enumerate(moves):
-                if to_tab[gw.table[m * size + k]] != gt.table[m * size + to_tab[k]]:
+            for move, j, t in zip(moves, gw.images(k), gt.images(to_tab[k])):
+                if to_tab[j] != t:
                     return f"w={self.w} word={rho} move={move.label}"
         return None
 
@@ -291,7 +292,7 @@ class _Checks:
         distance between the two."""
         top = diagrams.super_tableau(self.w)
         bottom = tableaux.psi(top) if len(top) else top
-        dtop = self.tableau_paths[0]
+        dtop = self.paths("tableaux")[0]
         dbot, _ = graphs.shortest_paths(self.tableau_graph, bottom)
         return dtop, dbot, dtop[self.tableau_graph.index_of(bottom)]
 
@@ -340,7 +341,7 @@ class _Checks:
         return None if bad is None else f"w={w} rho={g.vertices[bad[0]]} {bad[1].label}: {bad[2]}"
 
     def word_inversions_equal_bfs_distance(self) -> str | None:
-        dist, _ = self.word_paths
+        dist, _ = self.paths("words")
         rank = self.table("words", "word_inversions")
         for k, (rho, d) in enumerate(zip(self.word_graph.vertices, dist)):
             if d != rank[k]:
@@ -373,7 +374,7 @@ class _Checks:
 
     def yang_baxter_count_to_super(self) -> str | None:
         pi = words.super_word(self.w)
-        _, braids = self.word_paths
+        _, braids = self.paths("words")
         for rho, b in zip(self.word_graph.vertices, braids):
             if rho and words.yang_baxter_count(rho, pi) != b:
                 return f"w={self.w} rho={rho}"
@@ -436,7 +437,7 @@ class _Checks:
         return None
 
     def tableau_inv_and_braids_by_bfs(self) -> str | None:
-        dist, braids = self.tableau_paths
+        dist, braids = self.paths("tableaux")
         rank = self.table("tableaux", "tab_inversions")
         columns = self.table("tableaux", "column_inversions")
         for k, (t, d, b) in enumerate(zip(self.tableau_graph.vertices, dist, braids)):
@@ -472,11 +473,9 @@ class _Checks:
         and b_i to b_(ell-i+1): one flip index map compares the two move
         tables."""
         w, g, gi = self.w, self.tableau_graph, self.orbit.graph(self.w.inverse(), "tableaux")
-        size, ell = len(g.vertices), w.length
-        # c_i is slot i-1 and c_(ell-i) slot ell-i-1; b_i is slot ell+i-3 and
-        # b_(ell-i+1) slot 2ell-i-2
-        pairs = [(i, "commutation", i - 1, ell - i - 1) for i in range(1, ell)]
-        pairs += [(i, "braid", ell + i - 3, 2 * ell - i - 2) for i in range(2, ell)]
+        moves, ell = bijection.moves_for(w.length), w.length
+        slot = {move.label: s for s, move in enumerate(moves)}
+        partners = [slot[f"{m.kind}{ell - m.index + (m.kind == 'b')}"] for m in moves]
         flipped = self.table("tableaux", "flip")
         back = self.orbit.table(w.inverse(), "tableaux", "flip")  # gi's flip map into g
         for k, t in enumerate(g.vertices):
@@ -485,9 +484,11 @@ class _Checks:
                 return f"w={w} tableau={t.to_text()}: image not balanced for inverse"
             if back[f] != k:
                 return f"w={w} tableau={t.to_text()}: not an involution"
-            for i, kind, slot, partner in pairs:
-                if flipped[g.table[slot * size + k]] != gi.table[partner * size + f]:
-                    return f"w={w} tableau={t.to_text()}: {kind} intertwine i={i}"
+            theirs = gi.images(f)
+            for move, j, partner in zip(moves, g.images(k), partners):
+                if flipped[j] != theirs[partner]:
+                    kind = "commutation" if move.kind == "c" else "braid"
+                    return f"w={w} tableau={t.to_text()}: {kind} intertwine i={move.index}"
         return None
 
     # --- counts and the bijection ---------------------------------------------
@@ -505,12 +506,11 @@ class _Checks:
     # --- graphs ------------------------------------------------------------------
 
     def graph_connected_ranked(self) -> str | None:
-        for model, paths in (("words", "word_paths"), ("tableaux", "tableau_paths")):
-            g = self.orbit.graph(self.w, model)
-            dist, _ = getattr(self, paths)
+        for model in graphs.MODELS:
+            dist, _ = self.paths(model)
             if -1 in dist:  # unreached from the super element
                 return f"w={self.w} {model}: disconnected"
-            for res in graphs.validate_ranked_poset(g):
+            for res in graphs.validate_ranked_poset(self.orbit.graph(self.w, model)):
                 if not res.passed:
                     return f"w={self.w} {model} {res.name}: {res.detail}"
         return None

@@ -362,6 +362,7 @@ def _assert_move_table(g):
     for k, element in enumerate(g.vertices):
         images = [ACTS[g.model](move, element) for move in moves]
         assert [g.vertices[g.table[m * size + k]] for m in range(len(moves))] == images
+        assert [g.vertices[j] for j in g.images(k)] == images
         assert sorted(g.neighbors(k)) == sorted(
             (g.index_of(image), move.kind == "b")
             for move, image in zip(moves, images)
@@ -443,6 +444,37 @@ def test_graph_from_json_rejects_vertex_lists_that_are_not_sets(edit, message):
     edit(payload)
     with pytest.raises(ValueError, match=f"^{message}$"):
         graph_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "ranks,expected",
+    [
+        ({9: 5}, ["edge (8, 9)", None, None, "vertex 9"]),
+        ({13: 6, 5: 9}, ["edge (0, 5)", None, "vertex 0", "vertex 5"]),
+        (
+            {10: 0},
+            ["edge (8, 10)", "rank-0 vertices: 2", "vertex 8", "no unique rank-0 vertex"],
+        ),
+        ("shift", [None, "rank-0 vertices: 0", "vertex 15", "no unique rank-0 vertex"]),
+        ({1: 5}, [None, None, "vertex 1", "vertex 1"]),
+    ],
+    ids=["edge_step", "first_edge", "two_zeros", "no_zero", "no_cover"],
+)
+def test_validate_ranked_poset_names_the_first_fault(ranks, expected):
+    """Edited ranks in the 4,3,2,1 words graph fail each rank check in turn,
+    each naming the first edge (u, v), u < v, or vertex at fault."""
+    payload = json.loads(to_json(build_graph(Permutation([4, 3, 2, 1]), "words")))
+    for v in payload["vertices"]:
+        if ranks == "shift":  # every rank one higher
+            v["rank"] += 1
+        elif v["id"] in ranks:
+            v["rank"] = ranks[v["id"]]
+    results = validate_ranked_poset(graph_from_json(json.dumps(payload)))
+    assert [r.name for r in results] == [
+        "edges_step_rank_by_one", "unique_rank_zero", "covers_descend", "rank_is_distance_to_zero"
+    ]
+    assert [r.detail for r in results] == expected
+    assert [r.passed for r in results] == [d is None for d in expected]
 
 
 @pytest.mark.parametrize("model", ["words", "tableaux"])

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -24,6 +25,7 @@ from redwords import (
     words,
 )
 from redwords.cli import main
+from redwords.verify import _Orbit
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -443,3 +445,20 @@ def test_suite_computes_each_statistic_once_per_element(monkeypatch):
 )
 def test_suite_computes_each_statistic_once_per_element_over_s5_stress(monkeypatch):
     _assert_each_statistic_computed_once(monkeypatch, 5)
+
+
+@pytest.mark.parametrize("name", ["flip", "psi"])
+def test_map_tables_index_each_image_as_it_is_made(name):
+    """A flip or psi table holds vertex indices only: filling it on the 768
+    balanced tableaux of w0 of rank 5, once its graph is built, never holds
+    the images themselves all at once."""
+    w0, orbit = Permutation.longest(5), _Orbit()
+    size = len(orbit.graph(w0, "tableaux").vertices)  # w0 is its own inverse
+    tracemalloc.start()
+    try:
+        orbit.table(w0, "tableaux", name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 768
+    assert peak < 32 * size, f"{name}: {peak} B peak, {peak / size:.0f} B per vertex"
