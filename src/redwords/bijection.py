@@ -2,11 +2,12 @@
 balanced tableaux: two elements match exactly when their associated
 permutations agree.
 
-The tableau side has a constructive descent to the super tableau, so the
-tableau-to-word direction transports that move sequence instead of
-searching, replaying it backwards on one letter list of the super word; the
-word-to-tableau direction inverts the reverse reading that defines the
-tableau's permutation and reconstructs rows.
+The word-to-tableau direction is the Edelman–Greene labelling ("Balanced
+tableaux", 1987): entry k marks the inversion that the word's k-th swap
+creates, in its cell of the Rothe diagram.  The tableau side has a
+constructive descent to the super tableau, so the tableau-to-word direction
+transports that move sequence instead of searching, replaying it backwards
+on one letter list of the super word.
 """
 
 from __future__ import annotations
@@ -15,20 +16,12 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .diagrams import Filling, permutation_of_diagram, rothe_diagram
+from .diagrams import Filling, _filling, permutation_of_diagram
 from .perms import Permutation
-from .tableaux import (
-    _braidable,
-    is_balanced,
-    reconstruct_from_row_multisets,
-    tab_braid,
-    tab_commutation,
-    tab_permutation,
-)
+from .tableaux import _braidable, tab_braid, tab_commutation, tab_permutation
 from .words import (
     Word,
     _as_word,
-    _pairing,
     braid_move,
     commutation_move,
     pairing_permutation,
@@ -115,29 +108,29 @@ def descent_to_super(f: Filling) -> list[Move]:
 
 
 def word_to_tableau(word: Word) -> Filling:
-    """The unique balanced tableau whose permutation matches the word's.
+    """The unique balanced tableau whose permutation matches the word's:
+    the Edelman–Greene inversion labelling.
 
-    Splits the pairing permutation into consecutive blocks sized by the row
-    lengths of the diagram, bottom row first (inverting the reverse row
-    reading), reconstructs from those row contents, then verifies balance
-    and the permutation match.
+    Applies the letters right to left to the identity.  Swap k exchanges a
+    smaller value x and a larger value y that sit side by side, and entry k
+    goes in the Rothe cell (position of y in w, x); a swap that finds the
+    larger value already on the left shows the word is not reduced.
+
+    >>> word_to_tableau(Word([1, 4, 2, 3, 1])).to_text()
+    '1,1,3;1,2,5;1,3,2;2,1,1;4,3,4'
     """
     word = _as_word(word)
-    if not word:
-        return Filling({})
-    v, w, _ = _pairing(word)  # raises unless the word is reduced
-    d = rothe_diagram(w)
-    rows = d.rows()
-    blocks: list[tuple[int, ...]] = []
-    start = 0
-    for r in sorted(rows):
-        size = len(rows[r])
-        blocks.append(tuple(v[start : start + size]))
-        start += size
-    tableau = reconstruct_from_row_multisets(d, blocks)
-    if tableau is None or not is_balanced(tableau) or tab_permutation(tableau) != v:
-        raise RuntimeError(f"no balanced tableau matches word {word}")
-    return tableau
+    v = list(range(1, max(word, default=0) + 2))
+    created = []  # the (larger, smaller) values each swap puts out of order
+    for letter in reversed(word):
+        x, y = v[letter - 1], v[letter]
+        if x > y:
+            raise ValueError(f"word is not reduced: {word}")
+        v[letter - 1], v[letter] = y, x
+        created.append((y, x))
+    row = {y: i for i, y in enumerate(v, 1)}  # each value's position in w
+    cells = sorted(((row[y], x), k) for k, (y, x) in enumerate(created, 1))
+    return _filling(tuple(c for c, _ in cells), tuple(k for _, k in cells))
 
 
 def tableau_to_word(f: Filling) -> Word:

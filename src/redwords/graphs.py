@@ -90,9 +90,10 @@ class MoveGraph:
         )
 
     def __repr__(self) -> str:
+        size = len(self.vertices)  # an edge is an image k < j of vertex k
         return (
             f"MoveGraph(model={self.model!r}, w={self.w}, "
-            f"|V|={len(self.vertices)}, |E|={len(self.edges)})"
+            f"|V|={size}, |E|={sum(i % size < j for i, j in enumerate(self.table))})"
         )
 
     @property
@@ -326,30 +327,34 @@ def graph_from_json(text: str) -> MoveGraph:
     """Rebuild a graph from its JSON export; its edges fill the move table.
 
     The vertex ids must be 0..V-1, each once, with no element twice, and
-    each edge must be a move of w between two vertices, given once."""
+    each edge must be a move of w between two vertices, given once; a
+    payload of any other shape is a ``ValueError`` too."""
     payload = json.loads(text)
-    model = payload["model"]
-    parse = lookup_model(model).type.from_text
-    w = Permutation.from_text(payload["w"])
-    records = sorted(payload["vertices"], key=lambda rec: rec["id"])
-    size = len(records)
-    ids = [rec["id"] for rec in records]
-    if ids != list(range(size)):
-        twice = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
-        if twice is not None:
-            raise ValueError(f"vertex id {twice} given twice")
-        raise ValueError(f"vertex ids are not 0..{size - 1}")
-    g = MoveGraph(model, w, [parse(rec["elem"]) for rec in records], [rec["rank"] for rec in records])
-    if len(g._index) < size:
-        twice = next(v for k, v in enumerate(g.vertices) if g._index[v] != k)
-        raise ValueError(f"element {twice} given twice")
-    table, bases = g.table, {move.label: slot * size for slot, move in enumerate(g._moves)}
-    for e in payload["edges"]:
-        u, v, label = e["u"], e["v"], e["move"]
-        if label not in bases or u == v or not (0 <= u < size and 0 <= v < size):
-            raise ValueError(f"not a move of {w}: {label} from {u} to {v}")
-        base = bases[label]
-        if table[base + u] != u or table[base + v] != v:
-            raise ValueError(f"move {label} given twice at vertex {u} or {v}")
-        table[base + u], table[base + v] = v, u
+    try:
+        model = payload["model"]
+        parse = lookup_model(model).type.from_text
+        w = Permutation.from_text(payload["w"])
+        records = sorted(payload["vertices"], key=lambda rec: rec["id"])
+        size = len(records)
+        ids = [rec["id"] for rec in records]
+        if ids != list(range(size)):
+            twice = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+            if twice is not None:
+                raise ValueError(f"vertex id {twice} given twice")
+            raise ValueError(f"vertex ids are not 0..{size - 1}")
+        g = MoveGraph(model, w, [parse(rec["elem"]) for rec in records], [rec["rank"] for rec in records])
+        if len(g._index) < size:
+            twice = next(v for k, v in enumerate(g.vertices) if g._index[v] != k)
+            raise ValueError(f"element {twice} given twice")
+        table, bases = g.table, {move.label: slot * size for slot, move in enumerate(g._moves)}
+        for e in payload["edges"]:
+            u, v, label = e["u"], e["v"], e["move"]
+            if label not in bases or u == v or not (0 <= u < size and 0 <= v < size):
+                raise ValueError(f"not a move of {w}: {label} from {u} to {v}")
+            base = bases[label]
+            if table[base + u] != u or table[base + v] != v:
+                raise ValueError(f"move {label} given twice at vertex {u} or {v}")
+            table[base + u], table[base + v] = v, u
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed graph payload: {type(exc).__name__}: {exc}") from None
     return g

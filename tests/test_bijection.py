@@ -17,6 +17,7 @@ from redwords import (
     is_balanced,
     pairing_permutation,
     permutation_of_diagram,
+    reconstruct_from_row_multisets,
     rothe_diagram,
     super_tableau,
     super_word,
@@ -93,7 +94,7 @@ def test_word_to_tableau_matches_reference_grids():
 
 
 def test_word_to_tableau_rejects_unreduced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="word is not reduced: 1,1"):
         word_to_tableau(Word([1, 1]))
 
 
@@ -222,6 +223,40 @@ def test_tableau_to_word_matches_reference_on_every_standard_filling():
                 assert _transported(tableau_to_word, f) == expected
                 tally[Word if isinstance(expected, Word) else expected[0]] += 1
     assert tally == {Word: 181, ValueError: 452, RuntimeError: 633}
+
+
+def _reference_word_to_tableau(word):
+    """The tableau as the pairing permutation split into row blocks, bottom
+    row first, rebuilt by row-sort reconstruction and checked."""
+    if not word:
+        return Filling({})
+    v, w, _ = _pairing(word)
+    d = rothe_diagram(w)
+    blocks, start = [], 0
+    for cols in d.rows().values():  # bottom row first
+        blocks.append(tuple(v[start : start + len(cols)]))
+        start += len(cols)
+    tableau = reconstruct_from_row_multisets(d, blocks)
+    if tableau is None or not is_balanced(tableau) or tab_permutation(tableau) != v:
+        raise RuntimeError(f"no balanced tableau matches word {word}")
+    return tableau
+
+
+def test_word_to_tableau_matches_reference_and_matching():
+    # the labelling carries no closing check, so this test is that check
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            words = enumerate_reduced_words(w)
+            matched = match_by_permutation(words, enumerate_sbt(w))
+            for rho in words:
+                t = word_to_tableau(rho)
+                assert t == _reference_word_to_tableau(rho) == matched[rho]
+                assert is_balanced(t)
+    rng = random.Random(17)
+    for n in range(7, 16):
+        for _ in range(12):
+            rho = random_reduced_word(rng, n)
+            assert word_to_tableau(rho) == _reference_word_to_tableau(rho)
 
 
 def test_seeded_round_trip_of_long_words():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -424,6 +425,26 @@ def test_graph_from_json_rejects_edges_that_are_not_moves(edit, message):
 @pytest.mark.parametrize(
     "edit,message",
     [
+        (lambda payload: {k: v for k, v in payload.items() if k != "edges"}, "KeyError: 'edges'"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "w"}, "KeyError: 'w'"),
+        (lambda payload: payload["vertices"][1].update(id="1"), "TypeError: '<' not supported"),
+        (lambda payload: [payload], "TypeError: list indices"),
+        (lambda payload: payload.update(model=["words"]), "TypeError: unhashable type"),
+        (lambda payload: payload["vertices"][0].update(elem=5), "AttributeError: 'int'"),
+    ],
+    ids=["no_edges", "no_w", "string_id", "top_level_list", "list_model", "integer_elem"],
+)
+def test_graph_from_json_rejects_payloads_of_another_shape(edit, message):
+    payload = json.loads(to_json(build_graph(Permutation([3, 2, 1]), "words")))
+    edited = edit(payload)  # None when edited in place
+    text = json.dumps(payload if edited is None else edited)
+    with pytest.raises(ValueError, match=f"^malformed graph payload: {message}"):
+        graph_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
         (lambda payload: payload["vertices"][1].update(id=0), "vertex id 0 given twice"),
         (lambda payload: payload["vertices"][2].update(id=7), "vertex ids are not 0..2"),
         (lambda payload: payload["vertices"][0].update(id=-1), "vertex ids are not 0..2"),
@@ -491,6 +512,23 @@ def test_json_import_puts_edges_in_canonical_order(model):
     assert h == g
     assert h.edges == g.edges
     assert to_json(h) == text
+
+
+def test_repr_counts_edges_without_listing_them():
+    assert repr(build_graph(Permutation([4, 3, 2, 1]), "words")) == (
+        "MoveGraph(model='words', w=4,3,2,1, |V|=16, |E|=18)"
+    )
+    g = build_graph(Permutation.longest(5), "words")
+    tracemalloc.start()
+    try:
+        text = repr(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(g.vertices)
+    assert text.endswith(f"|V|={size}, |E|={len(g.edges)})")
+    assert size == 768
+    assert peak < 32 * size, f"{peak} B peak, {peak / size:.0f} B per vertex"
 
 
 @pytest.mark.skipif(

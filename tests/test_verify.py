@@ -462,3 +462,34 @@ def test_map_tables_index_each_image_as_it_is_made(name):
         tracemalloc.stop()
     assert size == 768
     assert peak < 32 * size, f"{name}: {peak} B peak, {peak / size:.0f} B per vertex"
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="rank-6 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_w0_orbit_at_rank_6_passes_under_400_mb_stress():
+    """Every check on the longest permutation of rank 6, run in one fresh
+    process as ``run_suite(6)`` runs it, passes and peaks under 400 MB of
+    resident memory."""
+    import subprocess
+    import sys
+
+    import redwords
+
+    script = (
+        "import resource\n"
+        "from redwords import Permutation\n"
+        "from redwords.verify import _check_orbit\n"
+        "failures = {}\n"
+        "_check_orbit(Permutation.longest(6), 6, failures, [0, 0])\n"
+        "assert not failures, failures\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(redwords.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
