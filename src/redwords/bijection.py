@@ -2,12 +2,12 @@
 balanced tableaux: two elements match exactly when their associated
 permutations agree.
 
-The word-to-tableau direction is the Edelman–Greene labelling ("Balanced
-tableaux", 1987): entry k marks the inversion that the word's k-th swap
-creates, in its cell of the Rothe diagram.  The tableau side has a
-constructive descent to the super tableau, so the tableau-to-word direction
-transports that move sequence instead of searching, replaying it backwards
-on one letter list of the super word.
+Both directions are the Edelman–Greene labelling ("Balanced tableaux",
+1987), read forwards and backwards: entry k marks the inversion that the
+word's k-th swap creates, in its cell of the Rothe diagram.  A word is
+labelled by applying its letters to the identity; a tableau is read by
+making its swaps in entry order, which succeeds exactly when it is
+balanced.
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ from typing import Sequence
 
 from .diagrams import Filling, _filling, permutation_of_diagram
 from .perms import Permutation
-from .tableaux import _braidable, tab_braid, tab_commutation, tab_permutation
-from .words import (
-    Word,
-    _as_word,
-    braid_move,
-    commutation_move,
-    pairing_permutation,
-    super_word,
-)
+from .tableaux import _braidable, _check_standard, tab_braid, tab_commutation, tab_permutation
+from .words import Word, _as_word, braid_move, commutation_move, pairing_permutation
+from .words import super_word  # unused here; perfbench's tracer patches bijection.super_word
 
 
 @dataclass(frozen=True)
@@ -134,27 +128,27 @@ def word_to_tableau(word: Word) -> Filling:
 
 
 def tableau_to_word(f: Filling) -> Word:
-    """The unique reduced word whose pairing permutation matches the
-    tableau's, obtained by replaying the tableau's descent sequence
-    backwards on one letter list of the super-Yamanouchi word, in place."""
-    if len(f) == 0:
-        return Word()
+    """The unique reduced word whose tableau is f: the inverse labelling.
+
+    Entry k in the Rothe cell (i, x) of w is the swap that puts the values
+    x < w(i) out of order.  The swaps are made in entry order from the
+    identity; each must find w(i) just right of x, and swap k's letter is
+    x's position.  Only a balanced tableau passes every step.
+
+    >>> str(tableau_to_word(Filling.from_text("1,1,3;1,2,5;1,3,2;2,1,1;4,3,4")))
+    '1,4,2,3,1'
+    """
     w = permutation_of_diagram(f.diagram)
-    moves = descent_to_super(f)
-    letters = list(super_word(w))
-    ell = len(letters)
-    for move in reversed(moves):  # commutation_move and braid_move, in place
-        s = ell - move.index  # display slot of letter i = move.index
-        a, b = letters[s - 1], letters[s]  # letters i+1, i
-        if move.kind == "c":
-            if abs(a - b) > 1:
-                letters[s - 1], letters[s] = b, a
-        elif a == letters[s + 1] and abs(a - b) == 1:  # letters i+1, i, i-1
-            letters[s - 1], letters[s], letters[s + 1] = b, a, b
-    word = tuple.__new__(Word, letters)
-    if pairing_permutation(word) != tab_permutation(f):
-        raise RuntimeError(f"word transport failed for {f.to_text()}")
-    return word
+    _check_standard(f)
+    pos = list(range(len(w) + 1))  # value -> position, from the identity
+    letters = []
+    for _, (i, x) in sorted(zip(f.entries, f.cells)):  # in entry order
+        p, y = pos[x], w[i - 1]
+        if pos[y] != p + 1:
+            raise ValueError(f"tableau is not balanced: {f.to_text()}")
+        pos[x], pos[y] = p + 1, p
+        letters.append(p)
+    return tuple.__new__(Word, letters[::-1])
 
 
 def match_by_permutation(

@@ -326,9 +326,9 @@ def export(g: MoveGraph, format: str) -> str:
 def graph_from_json(text: str) -> MoveGraph:
     """Rebuild a graph from its JSON export; its edges fill the move table.
 
-    The vertex ids must be 0..V-1, each once, with no element twice, and
-    each edge must be a move of w between two vertices, given once; a
-    payload of any other shape is a ``ValueError`` too."""
+    The vertex ids must be 0..V-1, each once, with no element twice and an
+    int rank each; each edge must be a move of w between two vertices, given
+    once.  Any other shape is a ``ValueError``, but elements need not be of w."""
     payload = json.loads(text)
     try:
         model = payload["model"]
@@ -342,7 +342,11 @@ def graph_from_json(text: str) -> MoveGraph:
             if twice is not None:
                 raise ValueError(f"vertex id {twice} given twice")
             raise ValueError(f"vertex ids are not 0..{size - 1}")
-        g = MoveGraph(model, w, [parse(rec["elem"]) for rec in records], [rec["rank"] for rec in records])
+        ranks = [rec["rank"] for rec in records]
+        for r in ranks:
+            if type(r) is not int:  # bool, float, str or None
+                raise TypeError(f"vertex rank {r!r} is not an int")
+        g = MoveGraph(model, w, [parse(rec["elem"]) for rec in records], ranks)
         if len(g._index) < size:
             twice = next(v for k, v in enumerate(g.vertices) if g._index[v] != k)
             raise ValueError(f"element {twice} given twice")

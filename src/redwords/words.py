@@ -234,9 +234,9 @@ def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
     the pairing's inversion number; see ``pairing_permutation``.  The super
     word it pairs against is ``_super_word(w)``.
 
-    The pairings of the last 64 words are kept, so the rank, the round
-    trip and the braid count of one word share one scan; the results are
-    immutable, and a word that is not reduced raises on every call."""
+    The pairings of the last 64 words are kept, so the rank and the braid
+    count of one word share one scan; the results are immutable, and a word
+    that is not reduced raises on every call."""
     ell = len(word)
     if ell == 0:
         raise ValueError("the empty word has no pairing permutation")

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations as itertools_permutations
 
 import pytest
@@ -105,9 +106,10 @@ def test_tableau_to_word_examples():
 
 
 def test_round_trip():
-    for w in all_permutations(4):
-        for rho in enumerate_reduced_words(w):
-            assert tableau_to_word(word_to_tableau(rho)) == rho
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            for rho in enumerate_reduced_words(w):
+                assert tableau_to_word(word_to_tableau(rho)) == rho
 
 
 def test_verify_poset_isomorphism():
@@ -203,26 +205,37 @@ def _reference_tableau_to_word(f):
     return word
 
 
-def _transported(to_word, f):
-    try:
-        return to_word(f)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), str(exc)
-
-
 def test_tableau_to_word_matches_reference_on_every_standard_filling():
-    # the in-place replay must end every filling, balanced or not, exactly
-    # as the fold of public moves does
-    tally = {Word: 0, ValueError: 0, RuntimeError: 0}
+    # a balanced filling gives the fold's word, and every other is refused
+    tally = {Word: 0, ValueError: 0}
     for n in range(1, 5):
         for w in all_permutations(n):
             cells = rothe_diagram(w).cells
             for values in itertools_permutations(range(1, len(cells) + 1)):
                 f = Filling(zip(cells, values))
-                expected = _transported(_reference_tableau_to_word, f)
-                assert _transported(tableau_to_word, f) == expected
-                tally[Word if isinstance(expected, Word) else expected[0]] += 1
-    assert tally == {Word: 181, ValueError: 452, RuntimeError: 633}
+                if is_balanced(f):
+                    assert tableau_to_word(f) == _reference_tableau_to_word(f)
+                    tally[Word] += 1
+                else:
+                    with pytest.raises(ValueError, match=f"^tableau is not balanced: {f.to_text()}$"):
+                        tableau_to_word(f)
+                    tally[ValueError] += 1
+    assert tally == {Word: 76, ValueError: 1190}
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        ({(1, 1): 1, (2, 1): 1}, "entries are not a bijection onto 1..2"),
+        ({(1, 1): 2}, "entries are not a bijection onto 1..1"),
+        ({(1, 2): 1}, "cell set is not the diagram of a permutation"),
+        ({(1, 1): 1, (1, 2): 2}, "tableau is not balanced: 1,1,1;1,2,2"),
+    ],
+    ids=["entry_twice", "entry_out_of_range", "not_rothe", "unbalanced"],
+)
+def test_tableau_to_word_refuses_fillings_that_are_not_balanced_tableaux(entries, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tableau_to_word(Filling(entries))
 
 
 def _reference_word_to_tableau(word):

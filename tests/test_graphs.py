@@ -431,8 +431,15 @@ def test_graph_from_json_rejects_edges_that_are_not_moves(edit, message):
         (lambda payload: [payload], "TypeError: list indices"),
         (lambda payload: payload.update(model=["words"]), "TypeError: unhashable type"),
         (lambda payload: payload["vertices"][0].update(elem=5), "AttributeError: 'int'"),
+        (lambda payload: payload["vertices"][0].update(rank="x"), "TypeError: vertex rank 'x' is not an int$"),
+        (lambda payload: payload["vertices"][0].update(rank=1.0), "TypeError: vertex rank 1.0 is not an int$"),
+        (lambda payload: payload["vertices"][0].update(rank=None), "TypeError: vertex rank None is not an int$"),
+        (lambda payload: payload["vertices"][0].update(rank=True), "TypeError: vertex rank True is not an int$"),
     ],
-    ids=["no_edges", "no_w", "string_id", "top_level_list", "list_model", "integer_elem"],
+    ids=[
+        "no_edges", "no_w", "string_id", "top_level_list", "list_model", "integer_elem",
+        "string_rank", "float_rank", "null_rank", "bool_rank",
+    ],
 )
 def test_graph_from_json_rejects_payloads_of_another_shape(edit, message):
     payload = json.loads(to_json(build_graph(Permutation([3, 2, 1]), "words")))
