@@ -16,6 +16,7 @@ construction.
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import Iterable, Mapping
 
 from .perms import Permutation
@@ -209,11 +210,21 @@ def _filling(cells: tuple[Cell, ...], entries: tuple[int, ...]) -> Filling:
 def rothe_diagram(w: Permutation) -> Diagram:
     """Cells (i, w(j)) over the inversion pairs i < j with w(i) > w(j).
 
+    Row i is the part below w(i) of the sorted values right of position i.
+    Kept in falling order, inserting w(i) moves just those values, so the
+    cost follows the cells, not the n(n-1)/2 position pairs.
+
     >>> rothe_diagram(Permutation([4, 2, 1, 5, 3])).cells
     ((1, 1), (1, 2), (1, 3), (2, 1), (4, 3))
     """
-    n = len(w)
-    cells = sorted((i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    seen: list[int] = []  # the values right of position i, negated: rising
+    cells: list[Cell] = []  # row-major, read backwards
+    for i in range(len(w), 0, -1):
+        x = -w[i - 1]
+        k = bisect(seen, x)  # seen[k:] are the values below w(i)
+        cells += [(i, -c) for c in seen[k:]]
+        seen.insert(k, x)
+    cells.reverse()
     d = object.__new__(Diagram)  # the cells are distinct and positive
     d.cells = tuple(cells)
     return d

@@ -13,12 +13,12 @@ that conversion; nothing else in the package mixes the two silently.
 passes a plain iterable through ``Word`` but trusts a ``Word`` as it is.
 Words the package derives from valid ones (moves, reversal, runs,
 enumeration) are built unchecked with ``tuple.__new__(Word, letters)``; use
-that form only where the letters are positive by construction.  Functions
-that need a reduced word check reducedness once per recently paired word.
+that form only where the letters are positive by construction.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -172,8 +172,9 @@ def super_word(w: Permutation) -> Word:
 
     Repeatedly takes the last descent i of the working permutation, finds
     the first position j > i holding a larger value (n+1 if none), appends
-    the interval i..j-2, and applies those swaps.  The words of the last
-    few permutations asked for are kept, so asking again costs a lookup.
+    the interval i..j-2, and applies those swaps; the entries from position
+    i on then increase, so one right-to-left walk meets every descent.  The
+    words of the last few permutations asked for are kept.
 
     >>> str(super_word(Permutation([4, 2, 1, 5, 3])))
     '4,2,1,2,3'
@@ -186,14 +187,13 @@ def _super_word(entries: tuple[int, ...]) -> Word:
     v = list(entries)
     n = len(v)
     out: list[int] = []
-    while True:
-        i = next((k for k in range(n - 1, 0, -1) if v[k - 1] > v[k]), None)
-        if i is None:
-            break
+    for i in range(n - 1, 0, -1):  # v[i:] increases, so i is the last descent
         vi = v[i - 1]
-        j = next((k for k in range(i + 1, n + 1) if v[k - 1] > vi), n + 1)
-        out.extend(range(i, j - 1))
-        v[i - 1 : j - 1] = v[i : j - 1] + [vi]
+        if vi > v[i]:
+            j = bisect(v, vi, i, n)  # 0-based slot of the first larger value
+            out.extend(range(i, j))
+            v[i - 1 : j - 1] = v[i:j]
+            v[j - 1] = vi
     return tuple.__new__(Word, out)
 
 
@@ -227,16 +227,12 @@ def braid_move(word: Word, i: int) -> Word:
     return tuple.__new__(Word, letters)
 
 
-@lru_cache(maxsize=64)
 def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
     """A reduced word's pairing permutation, the permutation w it is a word
     for (of rank max(word) + 1, as ``word_to_permutation`` gives it), and
     the pairing's inversion number; see ``pairing_permutation``.  The super
-    word it pairs against is ``_super_word(w)``.
-
-    The pairings of the last 64 words are kept, so the rank and the braid
-    count of one word share one scan; the results are immutable, and a word
-    that is not reduced raises on every call."""
+    word it pairs against is ``_super_word(w)``.  A word that is not reduced
+    raises."""
     ell = len(word)
     if ell == 0:
         raise ValueError("the empty word has no pairing permutation")
@@ -305,24 +301,19 @@ def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
     """The pair permutation u, perm(sigma) composed with the inverse of
     perm(rho), after checking both words reduce to the same permutation;
     and the letterwise displacement, the sum over i of |rho_i - sigma_u(i)|.
-
-    When sigma is rho's super word it is not paired: its pairing is the
-    identity, since each super letter matches the first unmatched letter,
-    itself.  When both words are bad, sigma's error is raised."""
+    When both words are bad, sigma's error is raised."""
     try:
         u_rho, w_rho, _ = _pairing(rho)
     except ValueError:
         _pairing(sigma)  # raises sigma's error, if any, first
         raise
-    u = u_rho.inverse()
-    if sigma != _super_word(w_rho):
-        u_sigma, w_sigma, _ = _pairing(sigma)
-        if w_sigma != w_rho:  # reduced words of one permutation share their largest letter
-            n = max(max(rho), max(sigma)) + 1
-            w_rho = word_to_permutation(rho, n)
-            w_sigma = word_to_permutation(sigma, n)
-            raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
-        u = u_sigma * u
+    u_sigma, w_sigma, _ = _pairing(sigma)
+    if w_sigma != w_rho:  # reduced words of one permutation share their largest letter
+        n = max(max(rho), max(sigma)) + 1
+        w_rho = word_to_permutation(rho, n)
+        w_sigma = word_to_permutation(sigma, n)
+        raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
+    u = u_sigma * u_rho.inverse()
     return u, sum(abs(rho[-i] - sigma[-j]) for i, j in enumerate(u, 1))  # letter i is word[-i]
 
 
@@ -331,10 +322,12 @@ def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) ->
     sigma, computed from the pair permutation without any search.
 
     Exact whenever sigma is the super-Yamanouchi word (checked exhaustively
-    through rank 5).  For arbitrary pairs it can disagree with the braid
-    count of actual shortest paths, e.g. (1,2,3,2,1,2) to (2,3,2,1,2,3)
-    gives 2 here while every shortest path uses 4 braids; treat the
-    arbitrary-pair value as a formula, not a measurement.
+    through rank 5), where it is the letter-sum surplus sum(sigma) - sum(rho)
+    and no word is paired: each match of the pairing only lowers its super
+    letter.  For arbitrary pairs it can disagree with the braid count of
+    actual shortest paths, e.g. (1,2,3,2,1,2) to (2,3,2,1,2,3) gives 2 here
+    while every shortest path uses 4 braids; treat the arbitrary-pair value
+    as a formula, not a measurement.
 
     >>> rho = Word([5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6])
     >>> yang_baxter_count(rho, super_word(word_to_permutation(rho)))
@@ -343,6 +336,9 @@ def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) ->
     rho, sigma = _as_word(rho), _as_word(sigma)
     if not rho and not sigma:
         return 0
+    # a rho as long as its permutation's super word is reduced
+    if len(rho) == len(sigma) and sigma == _super_word(word_to_permutation(rho)):
+        return sum(sigma) - sum(rho)
     return _pair_displacement(rho, sigma)[1]
 
 

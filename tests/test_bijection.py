@@ -285,18 +285,25 @@ def test_seeded_round_trip_of_long_words():
             assert column_inversions(t) == yang_baxter_count(rho, super_rho)
 
 
-def test_read_path_pairs_each_word_once():
+def test_read_path_pairs_each_word_once(monkeypatch):
     """One query on a long word (its rank, its tableau, the round trip and
     its braid count toward the super word) pairs the word once and never
     pairs the super word."""
+    paired = []
+
+    def counting(word):
+        paired.append(word)
+        return _pairing(word)
+
+    monkeypatch.setattr("redwords.words._pairing", counting)
     rng = random.Random(13)
     for n in range(7, 15):
         for _ in range(4):
             rho = random_reduced_word(rng, n)
-            _pairing.cache_clear()
+            paired.clear()
             inv = word_inversions(rho)
             t = word_to_tableau(rho)
             assert tab_inversions(t) == inv
             assert tableau_to_word(t) == rho
             yang_baxter_count(rho, super_word(word_to_permutation(rho)))
-            assert _pairing.cache_info().misses == 1
+            assert paired == [rho]
