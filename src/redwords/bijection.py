@@ -7,7 +7,7 @@ Both directions are the Edelman–Greene labelling ("Balanced tableaux",
 word's k-th swap creates, in its cell of the Rothe diagram.  A word is
 labelled by applying its letters to the identity; a tableau is read by
 making its swaps in entry order, which succeeds exactly when it is
-balanced.
+balanced.  The empty word and the empty tableau match like any other pair.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ def descent_to_super(f: Filling) -> list[Move]:
     resumes just below the last step's slots, or at 1 if it found nothing.
     """
     ell = len(f)
-    if ell < 2:
-        return []
     pos = f.positions()
     cell_of = [None] + [pos[v] for v in range(1, ell + 1)]
     table = moves_for(ell)  # c1..c(ell-1), then b2..b(ell-1)
@@ -156,8 +154,6 @@ def match_by_permutation(
 ) -> dict[Word, Filling] | None:
     """Pair the words with the tableaux that have the same permutation;
     None when that pairing is not a bijection between the two lists."""
-    if len(words) == 1 and len(words[0]) == 0:
-        return {words[0]: tableaux[0]} if len(tableaux) == 1 else None
     by_perm: dict[Permutation, Filling] = {}
     for t in tableaux:
         p = tab_permutation(t)

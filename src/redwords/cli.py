@@ -67,7 +67,7 @@ def _read_tableau(path: str) -> Filling:
             f"tableau in {path} has a cell in row or column {far}, "
             f"over the limit of {DEFAULT_VERTEX_BUDGET}"
         )
-    if len(filling) and not is_balanced(filling):
+    if not is_balanced(filling):
         raise ValueError(f"tableau in {path} is not balanced")
     permutation_of_diagram(filling.diagram)  # rejects non-Rothe shapes
     return filling
@@ -85,7 +85,7 @@ def _tableau_payload(f: Filling) -> tuple[dict, list[str]]:
     text = f.to_text()
     display = f.render()
     payload = {"tableau": text, "display": display}
-    lines = [text] + (display.splitlines() if display else [])
+    lines = [text] + display.splitlines()
     return payload, lines
 
 
@@ -113,20 +113,16 @@ def _cmd_super(args) -> int:
 def _cmd_inv(args) -> int:
     if args.word is not None:
         rho = _read_word(args.word)
-        if not rho:
-            payload = {"inversions": 0, "permutation": "", "yang_baxter": 0}
-        else:
-            w = word_to_permutation(rho)
-            payload = {
-                "inversions": word_inversions(rho),
-                "permutation": str(pairing_permutation(rho)),
-                "yang_baxter": yang_baxter_count(rho, super_word(w)),
-            }
+        payload = {
+            "inversions": word_inversions(rho),
+            "permutation": str(pairing_permutation(rho)),
+            "yang_baxter": yang_baxter_count(rho, super_word(word_to_permutation(rho))),
+        }
     else:
         t = _read_tableau(args.tableau)
         payload = {
             "inversions": tab_inversions(t),
-            "permutation": str(tab_permutation(t)) if len(t) else "",
+            "permutation": str(tab_permutation(t)),
             "yang_baxter": column_inversions(t),
         }
     lines = [f"{key}: {value}" for key, value in payload.items()]
@@ -150,9 +146,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    if args.formula:
-        value = min_inv_w0(args.n)
-    else:
+    value = min_inv_w0(args.n)  # refuses a rank below 1 in every mode
+    if not args.formula:
         g = build_graph(Permutation.longest(args.n), "words", max_vertices=args.budget)
         value = diameter(g, w0_shortcut=args.shortcut)
     _emit({"diameter": value}, [str(value)], args.json)

@@ -2,7 +2,8 @@
 
 Everything downstream (words, diagrams, tableaux) indexes from 1, so a
 permutation ``p`` is applied as ``p(i)`` rather than ``p[i-1]``; the tuple
-storage is an implementation detail.
+storage is an implementation detail.  The empty tuple is the permutation
+of rank 0, S_0's one element: the pairing permutation of the empty word.
 
 ``Permutation(...)`` and ``from_text`` validate every input.  Values the
 package derives from valid ones (swap, inverse, product) are built unchecked
@@ -33,18 +34,15 @@ class Permutation(tuple):
     def __new__(cls, entries: Iterable[int]) -> "Permutation":
         entries = tuple(int(x) for x in entries)
         n = len(entries)
-        if n < 1:
-            raise ValueError("a permutation needs at least one entry")
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on 1..{n}: {entries}")
         return tuple.__new__(cls, entries)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        entries = range(1, n + 1)  # a bijection by construction: check only its size
-        if not entries:
-            raise ValueError("a permutation needs at least one entry")
-        return tuple.__new__(cls, entries)
+        if n < 0:
+            raise ValueError(f"rank must be non-negative, not {n}")
+        return tuple.__new__(cls, range(1, n + 1))  # a bijection by construction
 
     @classmethod
     def longest(cls, n: int) -> "Permutation":
@@ -59,10 +57,11 @@ class Permutation(tuple):
     def from_text(cls, text: str) -> "Permutation":
         """Parse comma-separated one-line notation, e.g. ``4,2,1,5,3``.
 
-        Values may exceed 9, so a bare digit string is not accepted.
+        Values may exceed 9, so a bare digit string is not accepted.  The
+        empty string is the permutation of rank 0.
         """
         try:
-            entries = [int(part) for part in text.strip().split(",")]
+            entries = [int(part) for part in text.split(",")] if text.strip() else []
         except ValueError:
             raise ValueError(f"malformed permutation text: {text!r}") from None
         return cls(entries)
@@ -137,7 +136,7 @@ class Permutation(tuple):
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order."""
     if n < 1:
-        raise ValueError("a permutation needs at least one entry")
+        raise ValueError("rank must be positive")
     for entries in itertools.permutations(range(1, n + 1)):
         yield tuple.__new__(Permutation, entries)
 

@@ -5,7 +5,8 @@ involutions.
 A standard balanced tableau is a bijective filling of a Rothe diagram with
 1..cell-count such that at every cell, the number of larger entries to its
 right equals the number of smaller entries above it.  All moves here act on
-entry *values*, not cell positions.
+entry *values*, not cell positions.  The empty tableau, the identity's one,
+is read like any other; its permutation is the empty one.
 """
 
 from __future__ import annotations
@@ -205,8 +206,6 @@ def tab_permutation(f: Filling) -> Permutation:
     >>> str(tab_permutation(super_tableau(Permutation([4, 2, 1, 5, 3]))))
     '1,2,3,4,5'
     """
-    if len(f) == 0:
-        raise ValueError("empty tableau has no associated permutation")
     out: list[int] = []
     rows = f.rows()
     for r in sorted(rows):

@@ -15,7 +15,7 @@ check reports its lexicographically first counterexample: a failure
 replaces one recorded at a larger permutation, and a check is not run past
 its recorded failure.
 
-Six rules keep a run from doing the same work twice:
+Six rules keep a run from doing the same work twice (bar one, the rank):
 
 - each (w, model) is enumerated once, as the vertices of its move graph,
   built once per run; the bijection checks read those vertex lists;
@@ -31,9 +31,10 @@ Six rules keep a run from doing the same work twice:
 - each move is applied once, by ``graphs.build_graph``; checks read each
   vertex's images through ``MoveGraph.images``; no check reads an edge list;
 - each statistic of each element (its rank, column inversions, balance,
-  flip, complement) is computed once per run, through its module so that a
-  rebound function still reaches the check, into a list filled once per
-  (member, model, statistic) that every check reading it shares; flip and
+  flip, complement) is computed through its module, so that a rebound
+  function still reaches the check, into a list filled once per (member,
+  model, statistic) that every check reading it shares; the rank is also
+  computed once by ``graphs.build_graph``, as ``MoveGraph.ranks``; flip and
   complement are listed as vertex indices, -1 outside the inverse's graph,
   so their involution tests compare indices; both move checks share one
   loop, in which a move image equal to its source is not examined again
@@ -290,8 +291,7 @@ class _Checks:
     def w0_extremes(self) -> tuple[list[int], list[int], int]:
         """Distances from the super tableau and from its complement, and the
         distance between the two."""
-        top = diagrams.super_tableau(self.w)
-        bottom = tableaux.psi(top) if len(top) else top
+        bottom = tableaux.psi(diagrams.super_tableau(self.w))
         dtop = self.paths("tableaux")[0]
         dbot, _ = graphs.shortest_paths(self.tableau_graph, bottom)
         return dtop, dbot, dtop[self.tableau_graph.index_of(bottom)]
@@ -351,8 +351,6 @@ class _Checks:
     def word_pairing_identity_iff_super(self) -> str | None:
         pi = words.super_word(self.w)
         for rho in self.word_graph.vertices:
-            if not rho:
-                continue
             ident = words.pairing_permutation(rho) == Permutation.identity(len(rho))
             if ident != (rho == pi):
                 return f"w={self.w} rho={rho}"
@@ -368,7 +366,7 @@ class _Checks:
     def naive_metric_agrees_at_super(self) -> str | None:
         pi, rank = words.super_word(self.w), self.table("words", "word_inversions")
         for k, rho in enumerate(self.word_graph.vertices):
-            if rho and words.naive_pair_inversions(rho, pi) != rank[k]:
+            if words.naive_pair_inversions(rho, pi) != rank[k]:
                 return f"w={self.w} rho={rho}"
         return None
 
@@ -376,7 +374,7 @@ class _Checks:
         pi = words.super_word(self.w)
         _, braids = self.paths("words")
         for rho, b in zip(self.word_graph.vertices, braids):
-            if rho and words.yang_baxter_count(rho, pi) != b:
+            if words.yang_baxter_count(rho, pi) != b:
                 return f"w={self.w} rho={rho}"
         return None
 
@@ -418,7 +416,7 @@ class _Checks:
             return f"w={w}: super tableau unbalanced"
         if tableaux.tab_inversions(t) != 0:
             return f"w={w}: super tableau has inversions"
-        if len(t) and tableaux.tab_permutation(t) != Permutation.identity(len(t)):
+        if tableaux.tab_permutation(t) != Permutation.identity(len(t)):
             return f"w={w}: super tableau permutation not identity"
         return None
 
@@ -430,8 +428,6 @@ class _Checks:
     def tableau_inversion_identity(self) -> str | None:
         rank = self.table("tableaux", "tab_inversions")
         for k, t in enumerate(self.tableau_graph.vertices):
-            if not len(t):
-                continue
             if rank[k] != tableaux.tab_permutation(t).length - tableaux.row_coinversions(t):
                 return f"w={self.w} tableau={t.to_text()}"
         return None

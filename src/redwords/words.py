@@ -8,6 +8,7 @@ letter.  The combinatorics indexes letters from the right, mirroring how a
 word acts on a permutation (rightmost letter first), so combinatorial index
 ``i`` lives at display position ``len(word) - i``.  ``Word.letter(i)`` does
 that conversion; nothing else in the package mixes the two silently.
+The empty word, the identity's one reduced word, is read like any other.
 
 ``Word(...)`` and ``from_text`` validate every letter; a public function
 passes a plain iterable through ``Word`` but trusts a ``Word`` as it is.
@@ -90,7 +91,7 @@ def word_to_permutation(word: Word | Iterable[int], n: int | None = None) -> Per
     '4,2,1,5,3'
     """
     word = _as_word(word)
-    rank = n if n is not None else (max(word) + 1 if word else 1)
+    rank = n if n is not None else max(word, default=0) + 1
     if word and max(word) >= rank:
         raise ValueError(f"letter {max(word)} out of range for rank {rank}")
     v = list(Permutation.identity(rank))
@@ -234,10 +235,8 @@ def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
     word it pairs against is ``_super_word(w)``.  A word that is not reduced
     raises."""
     ell = len(word)
-    if ell == 0:
-        raise ValueError("the empty word has no pairing permutation")
     # Reduced iff every swap, applied right to left, lengthens the permutation.
-    v = list(range(1, max(word) + 2))
+    v = list(range(1, max(word, default=0) + 2))
     for letter in reversed(word):
         a, b = v[letter - 1], v[letter]
         if a > b:
@@ -291,8 +290,6 @@ def word_inversions(word: Word | Iterable[int]) -> int:
     11
     """
     word = _as_word(word)
-    if not word:
-        return 0
     _, w, inversions = _pairing(word)
     return inversions - (sum(_super_word(w)) - sum(word))
 
@@ -309,7 +306,7 @@ def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
         raise
     u_sigma, w_sigma, _ = _pairing(sigma)
     if w_sigma != w_rho:  # reduced words of one permutation share their largest letter
-        n = max(max(rho), max(sigma)) + 1
+        n = max(rho + sigma) + 1  # one of the two is not empty
         w_rho = word_to_permutation(rho, n)
         w_sigma = word_to_permutation(sigma, n)
         raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
@@ -334,8 +331,6 @@ def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) ->
     2
     """
     rho, sigma = _as_word(rho), _as_word(sigma)
-    if not rho and not sigma:
-        return 0
     # a rho as long as its permutation's super word is reduced
     if len(rho) == len(sigma) and sigma == _super_word(word_to_permutation(rho)):
         return sum(sigma) - sum(rho)
@@ -352,8 +347,6 @@ def naive_pair_inversions(rho: Word | Iterable[int], sigma: Word | Iterable[int]
     negative).
     """
     rho, sigma = _as_word(rho), _as_word(sigma)
-    if not rho and not sigma:
-        return 0
     u, displacement = _pair_displacement(rho, sigma)
     return u.length - displacement
 

@@ -100,8 +100,7 @@ def test_criterion_4_tableau_statistics_over_s4():
         g = build_graph(w, "tableaux")
         top = super_tableau(w)
         for t in g.vertices:
-            if len(t):
-                assert tab_inversions(t) == tab_permutation(t).length - row_coinversions(t)
+            assert tab_inversions(t) == tab_permutation(t).length - row_coinversions(t)
             assert tab_inversions(t) == bfs_distance(g, t, top)
             assert min_braid_count(g, t, top) == column_inversions(t)
     clock.done("4 (tableau identity, distances, braid counts over S_4)")

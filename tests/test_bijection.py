@@ -138,6 +138,8 @@ def test_match_by_permutation_of_given_lists():
     assert match_by_permutation(words, tableaux[:1] * len(tableaux)) is None
     assert match_by_permutation([Word()], [Filling({})]) == {Word(): Filling({})}
     assert match_by_permutation([Word()], []) is None
+    assert match_by_permutation([], [Filling({})]) is None
+    assert match_by_permutation([Word([1])], [Filling({})]) is None
 
 
 def _reference_descent(f):
@@ -195,8 +197,6 @@ def test_descent_replays_through_public_moves(n):
 
 def _reference_tableau_to_word(f):
     """The transport as a fold of public word moves, one word per step."""
-    if len(f) == 0:
-        return Word()
     word = super_word(permutation_of_diagram(Diagram(f.cells)))
     for move in reversed(descent_to_super(f)):
         word = move.on_word(word)
@@ -241,8 +241,6 @@ def test_tableau_to_word_refuses_fillings_that_are_not_balanced_tableaux(entries
 def _reference_word_to_tableau(word):
     """The tableau as the pairing permutation split into row blocks, bottom
     row first, rebuilt by row-sort reconstruction and checked."""
-    if not word:
-        return Filling({})
     v, w, _ = _pairing(word)
     d = rothe_diagram(w)
     blocks, start = [], 0

@@ -106,6 +106,18 @@ def test_inv_tableau(tmp_path, capsys):
     ]
 
 
+def test_inv_of_the_empty_word_and_the_empty_tableau(tmp_path, capsys):
+    """Both empty elements print the same payload: rank 0, the empty
+    permutation and no braid."""
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    plain = "inversions: 0\npermutation: \nyang_baxter: 0\n"
+    as_json = '{\n  "inversions": 0,\n  "permutation": "",\n  "yang_baxter": 0\n}\n'
+    for source in (["--word", ""], ["--tableau", str(path)]):
+        assert run_cli(capsys, "inv", *source) == (0, plain, "")
+        assert run_cli(capsys, "inv", "--json", *source) == (0, as_json, "")
+
+
 def test_inv_rejects_unbalanced_tableau(tmp_path, capsys):
     path = tmp_path / "tableau.txt"
     path.write_text("1,1,5;1,2,3;1,3,2;2,1,1;4,3,4\n")
@@ -350,6 +362,32 @@ def test_oversize_tableau_cell_exits_one(tmp_path, capsys, command):
         f"redwords: error: tableau in {path} has a cell in row or column 100000000, "
         "over the limit of 1000000\n"
     )
+
+
+@pytest.mark.parametrize("n", ["-2", "0"])
+@pytest.mark.parametrize("mode", [[], ["--exact"], ["--formula"], ["--shortcut"]])
+def test_diameter_refuses_a_rank_below_one(capsys, n, mode):
+    assert run_cli(capsys, "diameter", "-n", n, *mode) == (
+        1,
+        "",
+        "redwords: error: rank must be positive\n",
+    )
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+@pytest.mark.parametrize(
+    "command",
+    [["enumerate"], ["super"], ["dist", "--from", "", "--to", ""], ["graph"], ["graph", "--format", "json"]],
+    ids=lambda c: " ".join(c),
+)
+def test_commands_on_the_rank_0_permutation(capsys, command, model):
+    """``-w ""`` is the empty permutation, whose one element is empty."""
+    code, out, err = run_cli(capsys, *command[:1], "-w", "", "--model", model, *command[1:])
+    assert (code, err) == (0, "")
+    if command[0] in ("enumerate", "super"):
+        assert out == "\n"
+    elif command[0] == "dist":
+        assert out == "distance: 0\nmin_braids: 0\n"
 
 
 def test_diameter_shortcut_excludes_formula(capsys):

@@ -43,6 +43,15 @@ def test_rothe_diagram_cost_follows_its_cells():
     assert time.perf_counter() - start < 1.0
 
 
+def test_permutation_of_diagram_cost_follows_its_cells():
+    # one cell in rank 100,001, where taking each value from the front of a
+    # rising list moves about 5 * 10**9 values
+    start = time.perf_counter()
+    w = permutation_of_diagram(Diagram([(100000, 100000)]))
+    assert w == Permutation([*range(1, 100000), 100001, 100000])
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_rothe_diagram_equals_public_diagram(n):
     for w in all_permutations(n):

@@ -187,6 +187,16 @@ def test_dot_export():
     )
 
 
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_rank_0_graph_round_trip(model):
+    g = build_graph(Permutation(()), model)
+    assert [v.to_text() for v in g.vertices] == [""]
+    assert (g.ranks, g.edges, diameter(g)) == ((0,), (), 0)
+    text = to_json(g)
+    assert json.loads(text)["w"] == ""
+    assert graph_from_json(text) == g
+
+
 def test_json_round_trip():
     for model in ("words", "tableaux"):
         g = build_graph(Permutation([4, 3, 2, 1]), model)

@@ -17,8 +17,6 @@ def test_rejects_non_bijections():
     with pytest.raises(ValueError):
         Permutation([0, 1])
     with pytest.raises(ValueError):
-        Permutation([])
-    with pytest.raises(ValueError):
         Permutation([2, 3])
 
 
@@ -66,8 +64,30 @@ def test_derived_permutations_equal_public_ones():
 
 
 def test_all_permutations_rejects_empty_rank():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank must be positive"):
         list(all_permutations(0))
+
+
+def test_rank_zero_permutation():
+    """The empty permutation, of S_0, is the identity and the longest
+    permutation of rank 0, with the empty string as its text."""
+    e = Permutation(())
+    assert e == Permutation([]) == Permutation.identity(0) == Permutation.longest(0)
+    assert type(Permutation.identity(0)) is Permutation
+    assert e.n == e.length == 0
+    assert e.descents() == []
+    assert e.inverse() == e * e == e
+    assert str(e) == ""
+    assert Permutation.from_text("") == Permutation.from_text(" ") == e
+    with pytest.raises(ValueError, match="malformed permutation text"):
+        Permutation.from_text(",")
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_identity_and_longest_refuse_negative_ranks(n):
+    for make in (Permutation.identity, Permutation.longest):
+        with pytest.raises(ValueError, match=f"rank must be non-negative, not {n}"):
+            make(n)
 
 
 def test_inverse():

@@ -146,8 +146,6 @@ def test_pairing_permutation_reference_example():
 
 def test_pairing_of_super_is_identity():
     for w in all_permutations(4):
-        if w.length == 0:
-            continue
         pi = super_word(w)
         assert pairing_permutation(pi) == Permutation.identity(len(pi))
 
@@ -156,8 +154,6 @@ def test_pairing_identity_only_at_super():
     for w in all_permutations(4):
         pi = super_word(w)
         for rho in enumerate_reduced_words(w):
-            if not rho:
-                continue
             is_identity = pairing_permutation(rho) == Permutation.identity(len(rho))
             assert is_identity == (rho == pi)
 
@@ -169,8 +165,6 @@ def test_pairing_outputs_are_permutations():
 
 
 def test_pairing_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pairing_permutation(Word())
     with pytest.raises(ValueError):
         pairing_permutation(Word([1, 1]))
     for bad in (Word([1, 2, 1, 2]), (1, 2, 1, 2)):
@@ -209,15 +203,12 @@ def test_pairing_scan_counts_the_pairing_inversions():
     for n in range(1, 6):
         for w in all_permutations(n):
             for rho in enumerate_reduced_words(w):
-                if rho:
-                    perm, _, inversions = _pairing(rho)
-                    assert inversions == perm.length
+                perm, _, inversions = _pairing(rho)
+                assert inversions == perm.length
 
 
 def test_pairing_errors_on_every_call():
     for _ in range(3):
-        with pytest.raises(ValueError, match="no pairing permutation"):
-            pairing_permutation(Word())
         for bad in (Word([1, 2, 1, 2]), Word([1, 1])):
             with pytest.raises(ValueError, match="not reduced"):
                 pairing_permutation(bad)
@@ -229,6 +220,14 @@ def test_word_inversions_reference_example():
     assert word_inversions(RHO) == 11
     assert word_inversions(PI) == 0
     assert word_inversions(Word()) == 0
+
+
+def test_empty_word_goes_through_the_general_path():
+    """The identity's one reduced word pairs with the empty permutation."""
+    assert pairing_permutation(Word()) == pairing_permutation(()) == Permutation(())
+    assert _pairing(Word()) == (Permutation(()), Permutation.identity(1), 0)
+    assert yang_baxter_count((), ()) == naive_pair_inversions((), ()) == 0
+    assert word_to_permutation(Word(), 0) == Permutation(())
 
 
 def test_word_inversions_match_distance_oracle():
@@ -281,8 +280,6 @@ def test_pairing_toward_the_super_word_matches_two_pairings():
         for w in all_permutations(n):
             pi = super_word(w)
             for rho in enumerate_reduced_words(w):
-                if not rho:
-                    continue
                 u = pairing_permutation(pi) * pairing_permutation(rho).inverse()
                 displacement = sum(abs(rho[-i] - pi[-j]) for i, j in enumerate(u, 1))
                 assert yang_baxter_count(rho, pi) == displacement == sum(pi) - sum(rho)
@@ -290,11 +287,11 @@ def test_pairing_toward_the_super_word_matches_two_pairings():
 
 
 PAIR_ERRORS = {
-    "empty rho": ((), (1,), "the empty word has no pairing permutation"),
-    "empty sigma": ((1,), (), "the empty word has no pairing permutation"),
+    "empty rho": ((), (1,), "words are for different permutations: 1,2 vs 2,1"),
+    "empty sigma": ((1,), (), "words are for different permutations: 2,1 vs 1,2"),
     "empty rho, non-reduced sigma": ((), (1, 1), "word is not reduced: 1,1"),
     "non-reduced rho": ((1, 2, 1, 2), (2, 1, 2), "word is not reduced: 1,2,1,2"),
-    "non-reduced rho, empty sigma": ((1, 1), (), "the empty word has no pairing permutation"),
+    "non-reduced rho, empty sigma": ((1, 1), (), "word is not reduced: 1,1"),
     "non-reduced sigma": ((1, 2, 1), (2, 2), "word is not reduced: 2,2"),
     "non-reduced sigma, super rho": ((2, 1, 2), (1, 2, 1, 2), "word is not reduced: 1,2,1,2"),
     "both non-reduced": ((1, 2, 1, 2), (3, 3), "word is not reduced: 3,3"),
@@ -373,7 +370,7 @@ def test_super_word_properties(entries):
 
 
 def test_super_word_memo_is_keyed_by_permutation():
-    """Every nonempty reduced word of S_4 and S_5 in a shuffled order, so
+    """Every reduced word of S_4 and S_5 in a shuffled order, so
     more permutations pass through the super-word memo than it holds; the
     expected values come from the move graphs, not from ``super_word``."""
     import random
@@ -387,7 +384,7 @@ def test_super_word_memo_is_keyed_by_permutation():
             g = build_graph(w, "words")
             pi = next(r for r in g.vertices if is_super_yamanouchi(r))
             dist, _ = shortest_paths(g, pi)
-            cases.extend((rho, d) for rho, d in zip(g.vertices, dist) if rho)
+            cases.extend(zip(g.vertices, dist))
     random.Random(5).shuffle(cases)
     _super_word.cache_clear()
     for rho, d in cases:
