@@ -5,9 +5,10 @@ permutations agree.
 Both directions are the Edelman–Greene labelling ("Balanced tableaux",
 1987), read forwards and backwards: entry k marks the inversion that the
 word's k-th swap creates, in its cell of the Rothe diagram.  A word is
-labelled by applying its letters to the identity; a tableau is read by
-making its swaps in entry order, which succeeds exactly when it is
-balanced.  The empty word and the empty tableau match like any other pair.
+labelled from its replay, ``words._replay``, whose swaps listed row by row
+are its pairing permutation; a tableau is read by making its swaps in entry
+order, which succeeds exactly when it is balanced.  The empty word and the
+empty tableau match like any other pair.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 from .diagrams import Filling, _filling, permutation_of_diagram
 from .perms import Permutation
 from .tableaux import _braidable, _check_standard, tab_braid, tab_commutation, tab_permutation
-from .words import Word, _as_word, braid_move, commutation_move, pairing_permutation
+from .words import Word, _as_word, _replay, braid_move, commutation_move, pairing_permutation
 from .words import super_word  # unused here; perfbench's tracer patches bijection.super_word
 
 
@@ -103,25 +104,16 @@ def word_to_tableau(word: Word) -> Filling:
     """The unique balanced tableau whose permutation matches the word's:
     the Edelman–Greene inversion labelling.
 
-    Applies the letters right to left to the identity.  Swap k exchanges a
-    smaller value x and a larger value y that sit side by side, and entry k
-    goes in the Rothe cell (position of y in w, x); a swap that finds the
-    larger value already on the left shows the word is not reduced.
+    Swap k of the word's replay (``words._replay``) puts a smaller value x
+    and a larger value y out of order, and entry k goes in the Rothe cell
+    (position of y in w, x).  A word that is not reduced raises.
 
     >>> word_to_tableau(Word([1, 4, 2, 3, 1])).to_text()
     '1,1,3;1,2,5;1,3,2;2,1,1;4,3,4'
     """
-    word = _as_word(word)
-    v = list(range(1, max(word, default=0) + 2))
-    created = []  # the (larger, smaller) values each swap puts out of order
-    for letter in reversed(word):
-        x, y = v[letter - 1], v[letter]
-        if x > y:
-            raise ValueError(f"word is not reduced: {word}")
-        v[letter - 1], v[letter] = y, x
-        created.append((y, x))
-    row = {y: i for i, y in enumerate(v, 1)}  # each value's position in w
-    cells = sorted(((row[y], x), k) for k, (y, x) in enumerate(created, 1))
+    w, created = _replay(_as_word(word))
+    row = w.inverse()  # value y's position in w, at y - 1
+    cells = sorted(((row[y - 1], x), k) for k, (y, x) in enumerate(created, 1))
     return _filling(tuple(c for c, _ in cells), tuple(k for _, k in cells))
 
 
@@ -166,7 +158,5 @@ def match_by_permutation(
         if p not in by_perm:
             return None
         mapping[rho] = by_perm.pop(p)
-    if by_perm:
-        return None
-    return mapping
+    return None if by_perm else mapping
 

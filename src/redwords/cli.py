@@ -81,12 +81,20 @@ def _emit(payload: dict, lines: list[str], json_mode: bool) -> None:
             print(line)
 
 
+def _render(f: Filling) -> str:
+    """The picture of f, refused when its grid is past the vertex budget."""
+    top, right = (max(axis) for axis in zip((0, 0), *f.cells))  # (0, 0) if f is empty
+    if top * right > DEFAULT_VERTEX_BUDGET:
+        raise ValueError(
+            f"a picture of {top} rows and {right} columns is over the limit of "
+            f"{DEFAULT_VERTEX_BUDGET} positions"
+        )
+    return f.render()
+
+
 def _tableau_payload(f: Filling) -> tuple[dict, list[str]]:
-    text = f.to_text()
-    display = f.render()
-    payload = {"tableau": text, "display": display}
-    lines = [text] + display.splitlines()
-    return payload, lines
+    text, display = f.to_text(), _render(f)
+    return {"tableau": text, "display": display}, [text] + display.splitlines()
 
 
 def _cmd_enumerate(args) -> int:
@@ -104,7 +112,7 @@ def _cmd_super(args) -> int:
     payload = {"w": str(w), "model": args.model, "element": top.to_text()}
     lines = [payload["element"]]
     if args.model == "tableaux":  # a tableau also gets its picture
-        payload["display"] = top.render()
+        payload["display"] = _render(top)
         lines += payload["display"].splitlines()
     _emit(payload, lines, args.json)
     return 0

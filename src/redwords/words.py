@@ -1,5 +1,6 @@
 """Reduced words, runs, the super-Yamanouchi word, Coxeter moves, and the
-inversion statistic.
+inversion statistic, read from ``_replay``: the one pass that checks a word
+is reduced and lists the inversion each swap creates.
 
 Index conventions, fixed once
 -----------------------------
@@ -228,40 +229,37 @@ def braid_move(word: Word, i: int) -> Word:
     return tuple.__new__(Word, letters)
 
 
-def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
-    """A reduced word's pairing permutation, the permutation w it is a word
-    for (of rank max(word) + 1, as ``word_to_permutation`` gives it), and
-    the pairing's inversion number; see ``pairing_permutation``.  The super
-    word it pairs against is ``_super_word(w)``.  A word that is not reduced
-    raises."""
-    ell = len(word)
-    # Reduced iff every swap, applied right to left, lengthens the permutation.
+def _replay(word: Word) -> tuple[Permutation, list[tuple[int, int]]]:
+    """Apply the letters right to left to the identity: the permutation w
+    of rank max(word) + 1, and the (larger, smaller) values each swap puts
+    out of order.  A swap that finds the larger value on the left raises."""
     v = list(range(1, max(word, default=0) + 2))
-    for letter in reversed(word):
-        a, b = v[letter - 1], v[letter]
-        if a > b:
+    created = []
+    for letter in word[::-1]:  # a plain tuple: reversed() on a Word is slower
+        x, y = v[letter - 1], v[letter]
+        if x > y:
             raise ValueError(f"word is not reduced: {word}")
-        v[letter - 1], v[letter] = b, a
-    w = tuple.__new__(Permutation, v)
-    pi = _super_word(w)
-    letters, slots = list(word), list(range(ell))  # unmatched letters, their display slots
-    out, inversions = [0] * ell, 0
-    for i, k in zip(range(ell - 1, -1, -1), pi):
-        p = 0
-        if letters[0] != k:  # else the first unmatched letter matches at once
-            below = k - 1
-            for letter in letters:  # a reduced word always holds a match
-                if letter == k:
-                    break
-                if letter == below:
-                    k, below = below, below - 1
-                p += 1
-        del letters[p]
-        slot = slots.pop(p)
-        out[i] = ell - slot
-        # entries placed so far sit right of i; those of later slots are smaller
-        inversions += ell - 1 - slot - (len(slots) - p)
-    return tuple.__new__(Permutation, out), w, inversions
+        v[letter - 1] = y
+        v[letter] = x
+        created.append((y, x))
+    return tuple.__new__(Permutation, v), created
+
+
+def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
+    """A reduced word's pairing permutation, its permutation w, and the
+    pairing's inversion number; see ``pairing_permutation``.  Swap k's row
+    is the position in w of the larger value it swaps; the pairing lists
+    the swaps by row, so its inversions are earlier swaps in higher rows."""
+    w, created = _replay(word)
+    row_of = w.inverse()  # value y's position in w, at y - 1
+    rows = [0] + [row_of[y - 1] for y, _ in created]  # rows[k]: swap k's row
+    seen, inversions = [], 0  # seen: the rows of the swaps so far, rising
+    for r in rows[1:]:
+        at = bisect(seen, r)
+        inversions += len(seen) - at
+        seen.insert(at, r)
+    pairing = sorted(range(1, len(rows)), key=rows.__getitem__)  # stable: ties by k
+    return tuple.__new__(Permutation, pairing), w, inversions
 
 
 def pairing_permutation(word: Word | Iterable[int]) -> Permutation:
@@ -273,6 +271,10 @@ def pairing_permutation(word: Word | Iterable[int]) -> Permutation:
     and ends the scan, a letter equal to k-1 lowers k and is passed over,
     anything else is skipped.  The result sends the right-to-left index of
     each super letter to the index of its match.
+
+    It is computed with no scan, as the labelling read row by row,
+    ``tab_permutation(word_to_tableau(word))``; the test
+    ``test_pairing_equals_the_reference_scan`` checks that the two agree.
 
     >>> rho = Word([5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6])
     >>> str(pairing_permutation(rho))
@@ -307,8 +309,7 @@ def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
     u_sigma, w_sigma, _ = _pairing(sigma)
     if w_sigma != w_rho:  # reduced words of one permutation share their largest letter
         n = max(rho + sigma) + 1  # one of the two is not empty
-        w_rho = word_to_permutation(rho, n)
-        w_sigma = word_to_permutation(sigma, n)
+        w_rho, w_sigma = (word_to_permutation(x, n) for x in (rho, sigma))
         raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
     u = u_sigma * u_rho.inverse()
     return u, sum(abs(rho[-i] - sigma[-j]) for i, j in enumerate(u, 1))  # letter i is word[-i]

@@ -1,13 +1,14 @@
 """Shared frozen fixtures: the reference move graphs on R(42153), R(4321),
 and their tableau counterparts, transcribed as letter tuples / cell fillings,
 plus small graph-search oracles that are independent of the library's graph
-code."""
+code, and the paper's pairing scan as a reference for the pairing
+permutation."""
 
 from collections import defaultdict, deque
 
 import pytest
 
-from redwords import Filling, Word
+from redwords import Filling, Permutation, Word, super_word
 
 # ---------------------------------------------------------------------------
 # The eleven reduced words for 42153 and the thirteen labeled moves between
@@ -177,6 +178,43 @@ def random_reduced_word(rng, n: int) -> Word:
         i = rng.choice(descents)
         letters.append(i)
         v[i - 1], v[i] = v[i], v[i - 1]
+
+
+def reference_pairing(word: Word) -> tuple[Permutation, Permutation, int]:
+    """The paper's pairing scan: ``words._pairing``'s (pairing, w,
+    inversions), computed by matching the word against ``super_word(w)``.
+
+    For each super letter, left to right, the first unmatched letter of the
+    word equal to a falling target k matches; a letter equal to k-1 lowers
+    k and is passed over.  Inversions are counted as the matches are made.
+    """
+    ell = len(word)
+    v = list(range(1, max(word, default=0) + 2))
+    for letter in reversed(word):
+        a, b = v[letter - 1], v[letter]
+        if a > b:
+            raise ValueError(f"word is not reduced: {word}")
+        v[letter - 1], v[letter] = b, a
+    w = Permutation(v)
+    pi = super_word(w)
+    letters, slots = list(word), list(range(ell))  # unmatched letters, their display slots
+    out, inversions = [0] * ell, 0
+    for i, k in zip(range(ell - 1, -1, -1), pi):
+        p = 0
+        if letters[0] != k:  # else the first unmatched letter matches at once
+            below = k - 1
+            for letter in letters:  # a reduced word always holds a match
+                if letter == k:
+                    break
+                if letter == below:
+                    k, below = below, below - 1
+                p += 1
+        del letters[p]
+        slot = slots.pop(p)
+        out[i] = ell - slot
+        # entries placed so far sit right of i; those of later slots are smaller
+        inversions += ell - 1 - slot - (len(slots) - p)
+    return Permutation(out), w, inversions
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from conftest import (
     grid_edges,
     oracle_distance,
     random_reduced_word,
+    reference_pairing,
     tableau_42153,
     tableau_4321,
 )
@@ -239,9 +240,10 @@ def test_tableau_to_word_refuses_fillings_that_are_not_balanced_tableaux(entries
 
 
 def _reference_word_to_tableau(word):
-    """The tableau as the pairing permutation split into row blocks, bottom
-    row first, rebuilt by row-sort reconstruction and checked."""
-    v, w, _ = _pairing(word)
+    """The tableau as the reference scan's pairing permutation split into
+    row blocks, bottom row first, rebuilt by row-sort reconstruction and
+    checked; no part of it reads the labelling."""
+    v, w, _ = reference_pairing(word)
     d = rothe_diagram(w)
     blocks, start = [], 0
     for cols in d.rows().values():  # bottom row first

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -362,6 +363,41 @@ def test_oversize_tableau_cell_exits_one(tmp_path, capsys, command):
         f"redwords: error: tableau in {path} has a cell in row or column 100000000, "
         "over the limit of 1000000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command,rows,cols",
+    [
+        (["biject", "--word", "1001"], 1001, 1001),
+        (["super", "--model", "tableaux", "-w", ",".join(map(str, [*range(1, 1001), 1002, 1001]))], 1001, 1001),
+        (["flip", "--tableau"], 20000, 20000),
+        (["biject", "--json", "--word", "2,1,3000"], 3000, 3000),
+    ],
+    ids=["biject", "super", "flip", "biject --json"],
+)
+def test_picture_past_the_budget_is_refused(tmp_path, capsys, command, rows, cols):
+    """A picture of more than 10^6 positions is refused before it is drawn;
+    a one-cell tableau at (20000, 20000) drew 4 * 10**8 of them."""
+    if command[-1] == "--tableau":
+        path = tmp_path / "tableau.txt"
+        path.write_text("20000,20000,1")
+        command = [*command, str(path)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *command)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        f"redwords: error: a picture of {rows} rows and {cols} columns is over "
+        "the limit of 1000000 positions\n"
+    )
+
+
+def test_picture_at_the_budget_is_drawn(capsys):
+    code, out, _ = run_cli(capsys, "biject", "--word", "1000")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == "1000,1000,1"
+    assert lines[1] == " " * 1998 + "1"  # 1000 columns, one space apart
 
 
 @pytest.mark.parametrize("n", ["-2", "0"])

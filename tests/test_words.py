@@ -1,3 +1,7 @@
+import os
+import random
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +32,8 @@ from conftest import (
     grid_edges,
     oracle_distance,
     oracle_min_braids,
+    random_reduced_word,
+    reference_pairing,
 )
 
 RHO = Word([5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6])
@@ -205,6 +211,37 @@ def test_pairing_scan_counts_the_pairing_inversions():
             for rho in enumerate_reduced_words(w):
                 perm, _, inversions = _pairing(rho)
                 assert inversions == perm.length
+
+
+def test_pairing_equals_the_reference_scan():
+    """The labelling read row by row is the paper's pairing scan, with the
+    same permutation w and inversion count."""
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            for rho in enumerate_reduced_words(w):
+                assert _pairing(rho) == reference_pairing(rho)
+    rng = random.Random(23)
+    for n in range(7, 41):
+        for _ in range(4):
+            rho = random_reduced_word(rng, n)
+            assert _pairing(rho) == reference_pairing(rho)
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="rank-6 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_pairing_equals_the_reference_scan_on_r_w0_at_rank_6_stress():
+    for rho in enumerate_reduced_words(Permutation.longest(6)):
+        assert _pairing(rho) == reference_pairing(rho)
+
+
+def test_pairing_cost_follows_the_letters():
+    # a rank-300 word of 22,082 letters, where the matching scan took 5.2 s
+    rho = random_reduced_word(random.Random(1), 300)
+    start = time.perf_counter()
+    assert word_inversions(rho) == 90112507
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pairing_errors_on_every_call():
