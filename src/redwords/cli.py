@@ -93,8 +93,9 @@ def _render(f: Filling) -> str:
 
 
 def _tableau_payload(f: Filling) -> tuple[dict, list[str]]:
+    """f's text and picture, and its lines: the text, then each picture row (none if f is empty)."""
     text, display = f.to_text(), _render(f)
-    return {"tableau": text, "display": display}, [text] + display.splitlines()
+    return {"tableau": text, "display": display}, [text] + (display.split("\n") if display else [])
 
 
 def _cmd_enumerate(args) -> int:
@@ -112,8 +113,8 @@ def _cmd_super(args) -> int:
     payload = {"w": str(w), "model": args.model, "element": top.to_text()}
     lines = [payload["element"]]
     if args.model == "tableaux":  # a tableau also gets its picture
-        payload["display"] = _render(top)
-        lines += payload["display"].splitlines()
+        shown, lines = _tableau_payload(top)
+        payload["display"] = shown["display"]
     _emit(payload, lines, args.json)
     return 0
 

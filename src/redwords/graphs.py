@@ -14,32 +14,38 @@ from collections import deque
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple
 
+from . import diagrams, tableaux, words
 from .bijection import moves_for, tableau_to_word
 from .diagrams import Filling, super_tableau
 from .perms import Permutation
 from .report import CheckResult
-# Most of these are called only by name, through MODELS.
-from .tableaux import _iter_sbt, psi, tab_inversions
-from .words import Word, iter_reduced_words, super_word, word_inversions
+from .tableaux import psi
+from .words import Word
+from .words import iter_reduced_words  # unused here; perfbench's tracer patches graphs.iter_reduced_words
 
 Vertex = Word | Filling
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
-# Per model: the element type (``from_text``, ``to_text``); the names of
-# the functions giving the elements of w, an element's rank and the super
-# element of w, looked up here on each use so that a rebinding is seen; the
-# key sorting elements into vertex order; the ``Move`` method acting on them.
+# Per model: the element type (``from_text``, ``to_text``); the functions
+# giving the elements of w, an element's rank and the super element of w,
+# each as (module, name) and looked up in the module that defines it on each
+# use, so that a function rebound there is the one called; the key sorting
+# elements into vertex order; the ``Move`` method acting on them.
 MODELS = {
-    "words": (Word, "iter_reduced_words", "word_inversions", "super_word", None, "on_word"),
+    "words": (
+        Word, (words, "iter_reduced_words"), (words, "word_inversions"), (words, "super_word"),
+        None, "on_word",
+    ),
     "tableaux": (
-        Filling, "_iter_sbt", "tab_inversions", "super_tableau", attrgetter("entries"), "on_tableau"
+        Filling, (tableaux, "_iter_sbt"), (tableaux, "tab_inversions"), (diagrams, "super_tableau"),
+        attrgetter("entries"), "on_tableau",
     ),
 }
 
 
 class Model(NamedTuple):
-    """A row of ``MODELS`` with its function names replaced by functions."""
+    """A row of ``MODELS`` with its (module, name) pairs replaced by functions."""
 
     type: type
     elements: Callable[[Permutation], Iterable[Vertex]]
@@ -54,8 +60,8 @@ def lookup_model(name: str) -> Model:
     if name not in MODELS:
         raise ValueError(f"unknown model: {name!r}")
     kind, elements, rank, top, order, act = MODELS[name]
-    found = globals()
-    return Model(kind, found[elements], found[rank], found[top], order, act)
+    elements, rank, top = (getattr(module, function) for module, function in (elements, rank, top))
+    return Model(kind, elements, rank, top, order, act)
 
 
 class MoveGraph:

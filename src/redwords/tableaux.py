@@ -295,7 +295,7 @@ def psi(f: Filling) -> Filling:
     """
     w = permutation_of_diagram(f.diagram)
     if w != Permutation.longest(w.n):
-        raise ValueError(f"complement applies only to the longest permutation, not {w}")
+        raise ValueError(f"complement applies only to the longest permutation of rank {w.n}")
     return _filling(f.cells, _complement(f))
 
 

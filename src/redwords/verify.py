@@ -15,14 +15,14 @@ check reports its lexicographically first counterexample: a failure
 replaces one recorded at a larger permutation, and a check is not run past
 its recorded failure.
 
-Six rules keep a run from doing the same work twice (bar one, the rank):
+Six rules keep a run from doing the same work twice:
 
 - each (w, model) is enumerated once, as the vertices of its move graph,
   built once per run; the bijection checks read those vertex lists;
 - the words of w are matched with its tableaux once, by
   ``bijection.match_by_permutation`` over those two vertex lists, and both
-  correspondence checks read that one matching and its one comparison with
-  the two move tables (``edge_failure``);
+  correspondence checks read that one matching and its one comparison of
+  the two move tables (``edge_failure``) and of the ranks (``rank_failure``);
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, which the orbit
@@ -30,15 +30,15 @@ Six rules keep a run from doing the same work twice (bar one, the rank):
   search per vertex; that pass also shows whether the graph is connected;
 - each move is applied once, by ``graphs.build_graph``; checks read each
   vertex's images through ``MoveGraph.images``; no check reads an edge list;
-- each statistic of each element (its rank, column inversions, balance,
-  flip, complement) is computed through its module, so that a rebound
-  function still reaches the check, into a list filled once per (member,
-  model, statistic) that every check reading it shares; the rank is also
-  computed once by ``graphs.build_graph``, as ``MoveGraph.ranks``; flip and
-  complement are listed as vertex indices, -1 outside the inverse's graph,
-  so their involution tests compare indices; both move checks share one
-  loop, in which a move image equal to its source is not examined again
-  and a source's rank is read from its graph;
+- each element's rank is computed once, by ``graphs.build_graph``, and read
+  from ``MoveGraph.ranks``; each other statistic of each tableau (column
+  inversions, balance, flip, complement) is computed into a list filled once
+  per (member, statistic) that every check reading it shares; both are
+  called through the module defining them, so that a rebound function still
+  reaches the check; flip and complement are listed as vertex indices, -1
+  outside the inverse's graph, so their involution tests compare indices;
+  both move checks share one loop, in which a move image equal to its
+  source is not examined again;
 - the super word of w is built once, by ``words.super_word``, which keeps
   it for the calls that follow on the same w; no check hands it on.
 """
@@ -114,17 +114,9 @@ def _poset_isomorphism(c: _Checks) -> list[CheckResult]:
     w, gw, to_tab = c.w, c.word_graph, c.to_tab
     if to_tab is None:
         return [CheckResult("perm_matching_bijection", False, f"w={w}")]
-    word_rank, rank = c.table("words", "word_inversions"), c.table("tableaux", "tab_inversions")
-    rank_fail = next(
-        (
-            f"w={w} word={rho}"
-            for k, (rho, j) in enumerate(zip(gw.vertices, to_tab))
-            if word_rank[k] != rank[j]
-        ),
-        None,
-    )
+    rank_fail = None if c.rank_failure is None else f"w={w} word={c.rank_failure}"
     edge_fail = c.edge_failure
-    flipped, inverse = c.table("tableaux", "flip"), c.orbit.graph(w.inverse(), "tableaux")
+    flipped, inverse = c.table("flip"), c.orbit.graph(w.inverse(), "tableaux")
     square_fail = next(
         (
             f"w={w} word={rho}"
@@ -179,9 +171,7 @@ def _check_orbit(w: Permutation, n: int, failures: dict, scope: list[int]) -> No
                 failures[name] = (v, detail)
 
 
-# The module holding each model's statistics, and the statistics whose
-# values are elements of the inverse permutation, listed as vertex indices.
-_MODULES = {"words": words, "tableaux": tableaux}
+# The statistics whose values, elements of the inverse permutation, are listed as vertex indices.
 _MAPS = ("flip", "psi")
 
 
@@ -193,7 +183,7 @@ class _Orbit:
     def __init__(self):
         self._graphs: dict[tuple[Permutation, str], graphs.MoveGraph] = {}
         self._paths: dict[tuple[Permutation, str], tuple[list[int], list[int]]] = {}
-        self._tables: dict[tuple[Permutation, str, str], list] = {}
+        self._tables: dict[tuple[Permutation, str], list] = {}
 
     def graph(self, v: Permutation, model: str) -> graphs.MoveGraph:
         if (v, model) not in self._graphs:
@@ -208,16 +198,16 @@ class _Orbit:
             self._paths[v, model] = graphs.shortest_paths(self.graph(v, model), top)
         return self._paths[v, model]
 
-    def table(self, v: Permutation, model: str, name: str) -> list:
-        """The statistic ``name`` of the model's module on each vertex of
-        v's graph, in vertex order, called through the module once per
+    def table(self, v: Permutation, name: str) -> list:
+        """The statistic ``name`` of ``tableaux`` on each vertex of v's
+        tableau graph, in vertex order, called through the module once per
         vertex.  A flip or psi image is listed as its index in the graph of
         v^-1, or -1 outside it, as soon as it is made."""
-        key = (v, model, name)
+        key = (v, name)
         if key not in self._tables:
-            values = map(getattr(_MODULES[model], name), self.graph(v, model).vertices)
+            values = map(getattr(tableaux, name), self.graph(v, "tableaux").vertices)
             if name in _MAPS:
-                inverse = self.graph(v.inverse(), model)
+                inverse = self.graph(v.inverse(), "tableaux")
                 values = (_index_or_outside(inverse, e) for e in values)
             self._tables[key] = list(values)
         return self._tables[key]
@@ -231,13 +221,13 @@ def _index_or_outside(g: graphs.MoveGraph, element) -> int:
         return -1
 
 
-def _first_bad_move(g: graphs.MoveGraph, valid: list, rank: list[int], invalid: str):
+def _first_bad_move(g: graphs.MoveGraph, valid: list, invalid: str):
     """The first (vertex, move, fault), in vertex then move order, at which
     a move of g takes a vertex to an image that is not ``valid`` (fault
-    ``invalid``), is not an involution, or does not step ``rank`` by one
-    from the source's rank in g; None when every move passes."""
-    moves = bijection.moves_for(g.w.length)
-    for k, (stays, inv) in enumerate(zip(valid, g.ranks)):
+    ``invalid``), is not an involution, or does not step the rank by one;
+    None when every move passes."""
+    moves, rank = bijection.moves_for(g.w.length), g.ranks
+    for k, (stays, inv) in enumerate(zip(valid, rank)):
         for slot, j in enumerate(g.images(k)):
             if j == k and stays:  # an unmoved image has its source's tests
                 continue
@@ -258,9 +248,9 @@ class _Checks:
         self.w, self.n, self.orbit, self.scope = w, n, orbit, scope
         self.word_graph, self.tableau_graph = orbit.graph(w, "words"), orbit.graph(w, "tableaux")
 
-    def table(self, model: str, name: str) -> list:
-        """The orbit's table of the statistic ``name`` on w's graph of model."""
-        return self.orbit.table(self.w, model, name)
+    def table(self, name: str) -> list:
+        """The orbit's table of the statistic ``name`` on w's tableau graph."""
+        return self.orbit.table(self.w, name)
 
     def paths(self, model: str) -> tuple[list[int], list[int]]:
         """The orbit's distances and fewest braids from w's super element."""
@@ -273,6 +263,13 @@ class _Checks:
         gw, gt = self.word_graph, self.tableau_graph
         matching = bijection.match_by_permutation(gw.vertices, gt.vertices)
         return None if matching is None else [gt.index_of(matching[rho]) for rho in gw.vertices]
+
+    @functools.cached_property
+    def rank_failure(self) -> words.Word | None:
+        """The first word, in word order, whose rank differs from its
+        tableau's; None when there is none.  Needs the matching."""
+        gw, ranks = self.word_graph, self.tableau_graph.ranks
+        return next((rho for rho, r, j in zip(gw.vertices, gw.ranks, self.to_tab) if r != ranks[j]), None)
 
     @functools.cached_property
     def edge_failure(self) -> str | None:
@@ -337,14 +334,13 @@ class _Checks:
             for word in g.vertices
             for v in (words.word_to_permutation(word, n),)
         ]
-        bad = _first_bad_move(g, reduced, self.table("words", "word_inversions"), "left R(w)")
+        bad = _first_bad_move(g, reduced, "left R(w)")
         return None if bad is None else f"w={w} rho={g.vertices[bad[0]]} {bad[1].label}: {bad[2]}"
 
     def word_inversions_equal_bfs_distance(self) -> str | None:
         dist, _ = self.paths("words")
-        rank = self.table("words", "word_inversions")
-        for k, (rho, d) in enumerate(zip(self.word_graph.vertices, dist)):
-            if d != rank[k]:
+        for rho, d, r in zip(self.word_graph.vertices, dist, self.word_graph.ranks):
+            if d != r:
                 return f"w={self.w} rho={rho}"
         return None
 
@@ -364,9 +360,9 @@ class _Checks:
         return None
 
     def naive_metric_agrees_at_super(self) -> str | None:
-        pi, rank = words.super_word(self.w), self.table("words", "word_inversions")
-        for k, rho in enumerate(self.word_graph.vertices):
-            if words.naive_pair_inversions(rho, pi) != rank[k]:
+        pi = words.super_word(self.w)
+        for rho, r in zip(self.word_graph.vertices, self.word_graph.ranks):
+            if words.naive_pair_inversions(rho, pi) != r:
                 return f"w={self.w} rho={rho}"
         return None
 
@@ -421,25 +417,21 @@ class _Checks:
         return None
 
     def tableau_moves_balanced_involutive(self) -> str | None:
-        balanced, rank = (self.table("tableaux", name) for name in ("is_balanced", "tab_inversions"))
-        bad = _first_bad_move(self.tableau_graph, balanced, rank, "unbalanced image")
+        bad = _first_bad_move(self.tableau_graph, self.table("is_balanced"), "unbalanced image")
         return None if bad is None else f"w={self.w} {bad[1].label}: {bad[2]}"
 
     def tableau_inversion_identity(self) -> str | None:
-        rank = self.table("tableaux", "tab_inversions")
-        for k, t in enumerate(self.tableau_graph.vertices):
-            if rank[k] != tableaux.tab_permutation(t).length - tableaux.row_coinversions(t):
+        for t, r in zip(self.tableau_graph.vertices, self.tableau_graph.ranks):
+            if r != tableaux.tab_permutation(t).length - tableaux.row_coinversions(t):
                 return f"w={self.w} tableau={t.to_text()}"
         return None
 
     def tableau_inv_and_braids_by_bfs(self) -> str | None:
-        dist, braids = self.paths("tableaux")
-        rank = self.table("tableaux", "tab_inversions")
-        columns = self.table("tableaux", "column_inversions")
-        for k, (t, d, b) in enumerate(zip(self.tableau_graph.vertices, dist, braids)):
-            if d != rank[k]:
+        g, (dist, braids) = self.tableau_graph, self.paths("tableaux")
+        for t, d, b, r, c in zip(g.vertices, dist, braids, g.ranks, self.table("column_inversions")):
+            if d != r:
                 return f"w={self.w} tableau={t.to_text()}"
-            if b != columns[k]:
+            if b != c:
                 return f"w={self.w} tableau={t.to_text()}: braid count"
         return None
 
@@ -453,14 +445,13 @@ class _Checks:
         return None
 
     def tableau_descent_sequence_counts(self) -> str | None:
-        rank = self.table("tableaux", "tab_inversions")
-        columns = self.table("tableaux", "column_inversions")
-        for k, t in enumerate(self.tableau_graph.vertices):
+        g = self.tableau_graph
+        for t, r, c in zip(g.vertices, g.ranks, self.table("column_inversions")):
             seq = bijection.descent_to_super(t)
-            if len(seq) != rank[k]:
+            if len(seq) != r:
                 return f"w={self.w} tableau={t.to_text()}: length"
             braids = sum(1 for m in seq if m.kind == "b")
-            if braids != columns[k]:
+            if braids != c:
                 return f"w={self.w} tableau={t.to_text()}: braid count"
         return None
 
@@ -472,8 +463,8 @@ class _Checks:
         moves, ell = bijection.moves_for(w.length), w.length
         slot = {move.label: s for s, move in enumerate(moves)}
         partners = [slot[f"{m.kind}{ell - m.index + (m.kind == 'b')}"] for m in moves]
-        flipped = self.table("tableaux", "flip")
-        back = self.orbit.table(w.inverse(), "tableaux", "flip")  # gi's flip map into g
+        flipped = self.table("flip")
+        back = self.orbit.table(w.inverse(), "flip")  # gi's flip map into g
         for k, t in enumerate(g.vertices):
             f = flipped[k]
             if f < 0:
@@ -512,21 +503,20 @@ class _Checks:
         return None
 
     def graph_models_isomorphic(self) -> str | None:
-        w, gw, to_tab = self.w, self.word_graph, self.to_tab
-        if to_tab is None:
+        w = self.w
+        if self.to_tab is None:
             return f"w={w}: no bijection"
         if self.edge_failure is not None:
             return f"w={w}: edge sets differ"
-        for rho, r, j in zip(gw.vertices, gw.ranks, to_tab):
-            if r != self.tableau_graph.ranks[j]:
-                return f"w={w}: rank mismatch at {rho}"
+        if self.rank_failure is not None:
+            return f"w={w}: rank mismatch at {self.rank_failure}"
         return None
 
     # --- the longest permutation only ------------------------------------------
 
     def w0_complement_reverses_rank(self) -> str | None:
         expected = tableaux.min_inv_w0(self.n)
-        comp, rank = self.table("tableaux", "psi"), self.table("tableaux", "tab_inversions")
+        comp, rank = self.table("psi"), self.tableau_graph.ranks
         for k, (t, c) in enumerate(zip(self.tableau_graph.vertices, comp)):
             if c < 0 or comp[c] != k:  # an image outside the graph, or not back
                 return f"tableau={t.to_text()}: not an involution"

@@ -235,6 +235,31 @@ def test_psi_rejects_non_staircase(tmp_path, capsys):
     assert "longest" in err
 
 
+def test_psi_error_names_the_rank_not_the_permutation(tmp_path, capsys):
+    """One cell at (20000, 20000) is of a permutation of rank 20001, whose
+    one-line form alone would be over 100 KB."""
+    path = tmp_path / "t.txt"
+    path.write_text("20000,20000,1")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "psi", "--tableau", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert "rank 20001" in err
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "command", [["biject", "--word", "2"], ["super", "--model", "tableaux", "-w", "1,3,2"]]
+)
+def test_plain_picture_keeps_an_empty_bottom_row(capsys, command):
+    """The picture of 2,2,1 is its one cell over an empty bottom row."""
+    _, plain, _ = run_cli(capsys, *command)
+    _, as_json, _ = run_cli(capsys, *command[:1], "--json", *command[1:])
+    display = json.loads(as_json)["display"]
+    assert display == "  1\n"
+    assert plain.split("\n")[1:-1] == display.split("\n")
+
+
 def test_graph_dot(capsys):
     code, out, _ = run_cli(capsys, "graph", "-w", "4,3,2,1", "--format", "dot")
     assert code == 0
@@ -398,6 +423,7 @@ def test_picture_at_the_budget_is_drawn(capsys):
     assert code == 0
     assert lines[0] == "1000,1000,1"
     assert lines[1] == " " * 1998 + "1"  # 1000 columns, one space apart
+    assert len(lines) == 1001  # the text, then 1000 rows, all but the top empty
 
 
 @pytest.mark.parametrize("n", ["-2", "0"])

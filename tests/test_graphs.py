@@ -257,9 +257,9 @@ def test_graph_from_json_rejects_unknown_model():
 
 
 def test_model_functions_are_looked_up_on_each_use(monkeypatch):
-    """A function rebound on the graphs module after import is the one
+    """A function rebound in its defining module after import is the one
     build_graph calls, as a profiler that wraps module functions needs."""
-    from redwords import graphs
+    from redwords import words
 
     ranked = []
 
@@ -267,12 +267,12 @@ def test_model_functions_are_looked_up_on_each_use(monkeypatch):
         ranked.append(word)
         return word_inversions(word)
 
-    monkeypatch.setattr(graphs, "word_inversions", rank)
+    monkeypatch.setattr(words, "word_inversions", rank)
     g = build_graph(Permutation([3, 2, 1]), "words")
     assert ranked == list(g.vertices)
 
 
-def test_lookup_model_rows():
+def test_lookup_model_rows(monkeypatch):
     from redwords.graphs import MODELS, lookup_model
 
     for name in MODELS:
@@ -282,6 +282,11 @@ def test_lookup_model_rows():
         assert m.rank(top) == 0
         assert m.type.from_text(top.to_text()) == top
         assert top in set(m.elements(w))
+    for name, (_, *functions, _, _) in MODELS.items():  # rebound where defined
+        for field, (module, function) in zip(("elements", "rank", "top"), functions):
+            rebound = lambda *args: None  # noqa: E731
+            monkeypatch.setattr(module, function, rebound)
+            assert getattr(lookup_model(name), field) is rebound
     with pytest.raises(ValueError, match="unknown model"):
         lookup_model("braids")
 

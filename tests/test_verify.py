@@ -1,4 +1,5 @@
 import os
+import sys
 import time
 import tracemalloc
 import weakref
@@ -247,7 +248,7 @@ CORRESPONDENCE_FAULTS = {
         {"bijection_poset_isomorphism": "flip_matches_reversal: w=4,3,2,1 word=1,3,2,1,3,2"},
     ),
     "graph_rank": (
-        lambda monkeypatch: _fault(monkeypatch, graphs, "tab_inversions"),
+        lambda monkeypatch: _fault(monkeypatch, tableaux, "tab_inversions"),
         {"graph_models_isomorphic": "w=4,3,2,1: rank mismatch at 2,3,2,1,2,3"},
     ),
 }
@@ -439,6 +440,31 @@ def test_suite_computes_each_statistic_once_per_element(monkeypatch):
     _assert_each_statistic_computed_once(monkeypatch, 4)
 
 
+def test_suite_ranks_each_element_once():
+    """Over run_suite(4), word_inversions runs once per word and
+    tab_inversions once per tableau, plus once on each super tableau in
+    ``tableau_super_balanced_rank_zero``.  Calls are counted by code object,
+    so a call through any binding of either function is seen."""
+    calls = {words.word_inversions.__code__: Counter(), tableaux.tab_inversions.__code__: Counter()}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code][frame.f_locals[frame.f_code.co_varnames[0]]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert all_passed(run_suite(4))
+    finally:
+        sys.setprofile(previous)
+    ranked_words, ranked_tableaux = calls.values()
+    supers = {super_tableau(w) for w in all_permutations(4)}
+    assert ranked_words == Counter(r for w in all_permutations(4) for r in enumerate_reduced_words(w))
+    assert ranked_tableaux == Counter(
+        {t: 1 + (t in supers) for w in all_permutations(4) for t in enumerate_sbt(w)}
+    )
+
+
 @pytest.mark.skipif(
     os.environ.get("REDWORDS_STRESS") != "1",
     reason="S_5 stress run; set REDWORDS_STRESS=1 to enable",
@@ -456,7 +482,7 @@ def test_map_tables_index_each_image_as_it_is_made(name):
     size = len(orbit.graph(w0, "tableaux").vertices)  # w0 is its own inverse
     tracemalloc.start()
     try:
-        orbit.table(w0, "tableaux", name)
+        orbit.table(w0, name)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
