@@ -2,6 +2,10 @@
 inversion statistic, read from ``_replay``: the one pass that checks a word
 is reduced and lists the inversion each swap creates.
 
+Enumeration lists the words of each permutation left with ``_TAIL`` letters
+once per call.  The rank reads ``_rows``, each swap's Rothe row and the
+inversions among them; only ``_pairing`` sorts the rows into the pairing.
+
 Index conventions, fixed once
 -----------------------------
 A word is *stored* in display order: ``word[0]`` is the leftmost printed
@@ -107,24 +111,46 @@ def is_reduced(word: Word | Iterable[int], n: int | None = None) -> bool:
     return len(word) == word_to_permutation(word, n).length
 
 
-def iter_reduced_words(w: Permutation) -> Iterator[Word]:
-    """All reduced words for w, in lexicographic display order.
+_TAIL = 4  # letters left when iter_reduced_words reuses a listed tail
 
-    Peels the leftmost letter: it must be a descent position of w, and the
-    remainder is a reduced word for w with that descent swapped away.
-    Depth-first over an explicit stack of (permutation, prefix) tuples, so
-    the length of w is not limited by the recursion limit.
+
+def _peel(v: tuple[int, ...], depth: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each way to peel ``depth`` leftmost letters off a reduced word for v,
+    as (what is left of v, the peeled prefix), in lexicographic order.
+
+    A leftmost letter must be a descent position, and the remainder is a
+    reduced word for v with that descent swapped away.  Depth-first over an
+    explicit stack, so the depth is not limited by the recursion limit.
     """
-    n = len(w)
-    stack = [(tuple(w), ())]
+    n = len(v)
+    stack = [(v, ())]
     while stack:
         v, prefix = stack.pop()
-        depth = len(stack)
+        if len(prefix) == depth:
+            yield v, prefix
+            continue
         for i in range(n - 1, 0, -1):  # largest descent first, so popped last
             if v[i - 1] > v[i]:
                 stack.append((v[: i - 1] + (v[i], v[i - 1]) + v[i + 1 :], prefix + (i,)))
-        if len(stack) == depth:
-            yield tuple.__new__(Word, prefix)
+
+
+def iter_reduced_words(w: Permutation) -> Iterator[Word]:
+    """All reduced words for w, in lexicographic display order.
+
+    Peels all but the last ``_TAIL`` letters; the words of each permutation
+    left over are listed once, the first time a prefix reaches it, and
+    every later prefix reuses that list.
+    """
+    v = tuple(w)
+    ell = len(_super_word(v))  # the length of w, at a cost that follows the output
+    top = max(ell - _TAIL, 0)
+    tails: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for rest, prefix in _peel(v, top):
+        tail = tails.get(rest)
+        if tail is None:
+            tail = tails[rest] = [t for _, t in _peel(rest, ell - top)]
+        for t in tail:
+            yield tuple.__new__(Word, prefix + t)
 
 
 def enumerate_reduced_words(w: Permutation) -> list[Word]:
@@ -245,20 +271,28 @@ def _replay(word: Word) -> tuple[Permutation, list[tuple[int, int]]]:
     return tuple.__new__(Permutation, v), created
 
 
-def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
-    """A reduced word's pairing permutation, its permutation w, and the
-    pairing's inversion number; see ``pairing_permutation``.  Swap k's row
-    is the position in w of the larger value it swaps; the pairing lists
-    the swaps by row, so its inversions are earlier swaps in higher rows."""
+def _rows(word: Word) -> tuple[Permutation, list[int], int]:
+    """A reduced word's permutation w, each swap's Rothe row, and the
+    inversion number of its pairing permutation, without building the
+    pairing.  Swap k's row, at k - 1, is the 0-based position in w of the
+    larger value it swaps; the pairing lists the swaps by row, so its
+    inversions are earlier swaps in higher rows."""
     w, created = _replay(word)
-    row_of = w.inverse()  # value y's position in w, at y - 1
-    rows = [0] + [row_of[y - 1] for y, _ in created]  # rows[k]: swap k's row
+    row_of = sorted(range(len(w)), key=w.__getitem__)  # value y's position in w, at y - 1
+    rows = [row_of[y - 1] for y, _ in created]
     seen, inversions = [], 0  # seen: the rows of the swaps so far, rising
-    for r in rows[1:]:
+    for r in rows:
         at = bisect(seen, r)
         inversions += len(seen) - at
         seen.insert(at, r)
-    pairing = sorted(range(1, len(rows)), key=rows.__getitem__)  # stable: ties by k
+    return w, rows, inversions
+
+
+def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
+    """A reduced word's pairing permutation, its permutation w, and the
+    pairing's inversion number; see ``pairing_permutation`` and ``_rows``."""
+    w, rows, inversions = _rows(word)
+    pairing = sorted(range(1, len(rows) + 1), key=(0, *rows).__getitem__)  # stable: ties by k
     return tuple.__new__(Permutation, pairing), w, inversions
 
 
@@ -292,7 +326,7 @@ def word_inversions(word: Word | Iterable[int]) -> int:
     11
     """
     word = _as_word(word)
-    _, w, inversions = _pairing(word)
+    w, _, inversions = _rows(word)
     return inversions - (sum(_super_word(w)) - sum(word))
 
 
@@ -348,6 +382,10 @@ def naive_pair_inversions(rho: Word | Iterable[int], sigma: Word | Iterable[int]
     negative).
     """
     rho, sigma = _as_word(rho), _as_word(sigma)
+    if len(rho) == len(sigma) and sigma == _super_word(word_to_permutation(rho)):
+        # the super word's pairing is the identity, so u is rho's pairing inverted
+        u = _pairing(rho)[0].inverse()
+        return u.length - sum(abs(rho[-i] - sigma[-j]) for i, j in enumerate(u, 1))
     u, displacement = _pair_displacement(rho, sigma)
     return u.length - displacement
 

@@ -1,10 +1,11 @@
 """Shared frozen fixtures: the reference move graphs on R(42153), R(4321),
 and their tableau counterparts, transcribed as letter tuples / cell fillings,
 plus small graph-search oracles that are independent of the library's graph
-code, and the paper's pairing scan as a reference for the pairing
-permutation."""
+code, the paper's pairing scan as a reference for the pairing
+permutation, and a plain depth-first enumeration of reduced words."""
 
 from collections import defaultdict, deque
+from typing import Iterator
 
 import pytest
 
@@ -178,6 +179,24 @@ def random_reduced_word(rng, n: int) -> Word:
         i = rng.choice(descents)
         letters.append(i)
         v[i - 1], v[i] = v[i], v[i - 1]
+
+
+def reference_reduced_words(w: Permutation) -> Iterator[Word]:
+    """R(w) in lexicographic display order, peeling every letter afresh:
+    the leftmost letter is a descent position of w, and the remainder is a
+    reduced word for w with that descent swapped away.  Depth-first over an
+    explicit stack of (permutation, prefix) tuples; no prefix or tail is
+    shared between words."""
+    n = len(w)
+    stack = [(tuple(w), ())]
+    while stack:
+        v, prefix = stack.pop()
+        depth = len(stack)
+        for i in range(n - 1, 0, -1):  # largest descent first, so popped last
+            if v[i - 1] > v[i]:
+                stack.append((v[: i - 1] + (v[i], v[i - 1]) + v[i + 1 :], prefix + (i,)))
+        if len(stack) == depth:
+            yield tuple.__new__(Word, prefix)
 
 
 def reference_pairing(word: Word) -> tuple[Permutation, Permutation, int]:

@@ -33,7 +33,7 @@ from redwords import (
 )
 
 from redwords.bijection import match_by_permutation
-from redwords.words import _pairing
+from redwords.words import _rows
 
 from conftest import (
     EDGE_GRID_4321,
@@ -293,9 +293,9 @@ def test_read_path_pairs_each_word_once(monkeypatch):
 
     def counting(word):
         paired.append(word)
-        return _pairing(word)
+        return _rows(word)
 
-    monkeypatch.setattr("redwords.words._pairing", counting)
+    monkeypatch.setattr("redwords.words._rows", counting)
     rng = random.Random(13)
     for n in range(7, 15):
         for _ in range(4):

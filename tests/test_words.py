@@ -1,6 +1,7 @@
 import os
 import random
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from redwords import (
     enumerate_reduced_words,
     is_reduced,
     is_super_yamanouchi,
+    iter_reduced_words,
     naive_pair_inversions,
     pairing_permutation,
     run_decomposition,
@@ -34,6 +36,7 @@ from conftest import (
     oracle_min_braids,
     random_reduced_word,
     reference_pairing,
+    reference_reduced_words,
 )
 
 RHO = Word([5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6])
@@ -203,6 +206,41 @@ def test_derived_words_equal_public_ones():
 def test_enumeration_deeper_than_the_recursion_limit():
     w = Permutation(list(range(2, 1202)) + [1])
     assert enumerate_reduced_words(w) == [Word(range(1200, 0, -1))]
+
+
+def _same_enumeration(w, limit=None):
+    got = list(islice(iter_reduced_words(w), limit))
+    assert got == list(islice(reference_reduced_words(w), limit))
+    assert all(type(r) is Word for r in got)
+
+
+def test_enumeration_equals_the_reference_dfs():
+    """Reusing each short tail gives the words of the plain depth-first
+    peel, in its order: every w of S_1..S_5 (lengths 0 to 10), then seeded
+    permutations of S_7..S_9, in full when at most 12 random ascents
+    make them and on their first 3,000 words when drawn uniformly."""
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            _same_enumeration(w)
+    rng = random.Random(31)
+    for n in range(7, 10):
+        for _ in range(4):
+            v = list(range(1, n + 1))
+            for _ in range(rng.randint(5, 12)):
+                ascents = [i for i in range(1, n) if v[i - 1] < v[i]]
+                i = rng.choice(ascents)
+                v[i - 1], v[i] = v[i], v[i - 1]
+            _same_enumeration(Permutation(v))
+            rng.shuffle(v)
+            _same_enumeration(Permutation(v), limit=3000)
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="rank-6 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_enumeration_equals_the_reference_dfs_on_r_w0_at_rank_6_stress():
+    _same_enumeration(Permutation.longest(6))
 
 
 def test_pairing_scan_counts_the_pairing_inversions():
