@@ -18,7 +18,6 @@ from functools import cache
 from typing import Sequence
 
 from .diagrams import Filling, _filling, permutation_of_diagram
-from .perms import Permutation
 from .tableaux import _braidable, _check_standard, tab_braid, tab_commutation, tab_permutation
 from .words import Word, _as_word, _replay, braid_move, commutation_move, pairing_permutation
 from .words import super_word  # unused here; perfbench's tracer patches bijection.super_word
@@ -141,22 +140,10 @@ def tableau_to_word(f: Filling) -> Word:
     return tuple.__new__(Word, letters[::-1])
 
 
-def match_by_permutation(
-    words: Sequence[Word], tableaux: Sequence[Filling]
-) -> dict[Word, Filling] | None:
-    """Pair the words with the tableaux that have the same permutation;
-    None when that pairing is not a bijection between the two lists."""
-    by_perm: dict[Permutation, Filling] = {}
-    for t in tableaux:
-        p = tab_permutation(t)
-        if p in by_perm:
-            return None
-        by_perm[p] = t
-    mapping: dict[Word, Filling] = {}
-    for rho in words:
-        p = pairing_permutation(rho)
-        if p not in by_perm:
-            return None
-        mapping[rho] = by_perm.pop(p)
-    return None if by_perm else mapping
-
+def match_by_permutation(words: Sequence[Word], tableaux: Sequence[Filling]) -> list[int] | None:
+    """For each word, in order, the index in ``tableaux`` of the tableau
+    with the same permutation; None when that pairing is not a bijection
+    between the two lists."""
+    by_perm = {tab_permutation(t): j for j, t in enumerate(tableaux)}
+    matching = [by_perm.pop(pairing_permutation(rho), None) for rho in words]
+    return None if by_perm or None in matching or len(words) != len(tableaux) else matching

@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _budget(text: str) -> int:
+    """A vertex budget: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
+    return value
+
+
 def _read_word(text: str) -> Word:
     rho = Word.from_text(text)
     if max(rho, default=0) > DEFAULT_VERTEX_BUDGET:  # a letter k acts on k+1 points
@@ -196,20 +207,14 @@ def _cmd_graph(args) -> int:
 def _cmd_verify(args) -> int:
     results = run_suite(args.n)
     ok = all(r.passed for r in results)
-    if args.json:
-        payload = {
-            "n": args.n,
-            "passed": ok,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for r in results:
-            print(r.line())
-        print(f"RESULT: {'PASS' if ok else 'FAIL'} ({len(results)} checks, n={args.n})")
+    payload = {
+        "n": args.n,
+        "passed": ok,
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+    }
+    lines = [r.line() for r in results]
+    lines.append(f"RESULT: {'PASS' if ok else 'FAIL'} ({len(results)} checks, n={args.n})")
+    _emit(payload, lines, args.json)
     return 0 if ok else 2
 
 
@@ -229,6 +234,10 @@ def _build_parser() -> _Parser:
     element.add_argument("-w", required=True, help="permutation, e.g. 4,2,1,5,3")
     element.add_argument("--model", choices=tuple(MODELS), default="words")
 
+    # The vertex budget of the commands that build a move graph.
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_budget, default=DEFAULT_VERTEX_BUDGET)
+
     parser = _Parser(prog="redwords", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -244,13 +253,12 @@ def _build_parser() -> _Parser:
     group.add_argument("--tableau", help="file holding a tableau text form")
     p.set_defaults(func=_cmd_inv)
 
-    p = sub.add_parser("dist", parents=[common, element], help="BFS distance and minimum braid count")
+    p = sub.add_parser("dist", parents=[common, element, budget], help="BFS distance and minimum braid count")
     p.add_argument("--from", dest="src", required=True, help="start element text form")
     p.add_argument("--to", dest="dst", required=True, help="end element text form")
-    p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("diameter", parents=[common], help="diameter of the move graph of the longest permutation")
+    p = sub.add_parser("diameter", parents=[common, budget], help="diameter of the move graph of the longest permutation")
     p.add_argument("-n", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="build the graph and measure (default)")
@@ -260,7 +268,6 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="measure only between the super element and its complement",
     )
-    p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=_cmd_diameter)
 
     p = sub.add_parser("biject", parents=[common], help="convert across the word/tableau bijection")
@@ -277,10 +284,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--tableau", required=True)
     p.set_defaults(func=_cmd_tableau_map, tableau_map=psi)
 
-    p = sub.add_parser("graph", parents=[common, element], help="export the move graph")
+    p = sub.add_parser("graph", parents=[common, element, budget], help="export the move graph")
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.add_argument("-o", "--output")
-    p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("verify", parents=[common], help="exhaustive brute-force checks over S_n")

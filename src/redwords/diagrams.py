@@ -286,15 +286,11 @@ def permutation_of_diagram(d: Diagram) -> Permutation:
     diagram matches, so non-Rothe cell sets are rejected.
     """
     rows = d.rows()
-    # rank must fit the inversion table: row r with k cells forces r + k <= n
+    # rank must fit the inversion table: row r with k cells forces r + k <= n,
+    # so row r's k cells leave k < n - r + 1 values to choose from
     n = max((r + len(cols) for r, cols in rows.items()), default=1)
-    code = [len(rows.get(r, ())) for r in range(1, n + 1)]
     available = list(range(n, 0, -1))  # falling, so taking the c-th smallest moves c values
-    entries = []
-    for c in code:
-        if c >= len(available):
-            raise ValueError("cell set is not the diagram of a permutation")
-        entries.append(available.pop(-1 - c))
+    entries = [available.pop(-1 - len(rows.get(r, ()))) for r in range(1, n + 1)]
     w = tuple.__new__(Permutation, entries)  # a bijection on 1..n by construction
     if rothe_diagram(w) != d:
         raise ValueError("cell set is not the diagram of a permutation")

@@ -2,8 +2,10 @@
 distances, single-source shortest paths with their fewest braids, diameter,
 ranked poset validation, and DOT/JSON export.
 
-Vertices are deduplicated and ordered by their canonical text forms, never
-by structural hashing.
+Vertices are deduplicated by ``MoveGraph._index``, a dict keyed by the
+element, and sorted by the model's key: a word's integer letters, or a
+tableau's ``entries``.  Neither is text order once a letter or an entry
+reaches 10.
 """
 
 from __future__ import annotations
@@ -122,11 +124,6 @@ class MoveGraph:
         """Vertex k's image under each move, in move-slot order."""
         return self.table[k :: len(self.vertices)]
 
-    def neighbors(self, idx: int) -> list[tuple[int, bool]]:
-        """The images of vertex ``idx`` other than itself, in move-slot
-        order, each with whether its move is a braid."""
-        return [(j, move.kind == "b") for move, j in zip(self._moves, self.images(idx)) if j != idx]
-
 
 def build_graph(
     w: Permutation,
@@ -199,9 +196,10 @@ def shortest_paths(g: MoveGraph, source: Vertex) -> tuple[list[int], list[int]]:
     """
     dist = _bfs(g, g.index_of(source))
     braids = [0 if d == 0 else -1 for d in dist]
+    kinds = [move.kind == "b" for move in g._moves]  # per move slot, whether it is a braid
     for u in sorted(range(len(dist)), key=dist.__getitem__):
-        for v, braid in g.neighbors(u):
-            if dist[v] == dist[u] + 1 > 0:  # one step farther out from a reached u
+        for v, braid in zip(g.images(u), kinds):
+            if dist[v] == dist[u] + 1 > 0:  # one step farther out from a reached u; never u itself
                 offer = braids[u] + braid
                 if not 0 <= braids[v] <= offer:
                     braids[v] = offer

@@ -20,9 +20,10 @@ Six rules keep a run from doing the same work twice:
 - each (w, model) is enumerated once, as the vertices of its move graph,
   built once per run; the bijection checks read those vertex lists;
 - the words of w are matched with its tableaux once, by
-  ``bijection.match_by_permutation`` over those two vertex lists, and both
-  correspondence checks read that one matching and its one comparison of
-  the two move tables (``edge_failure``) and of the ranks (``rank_failure``);
+  ``bijection.match_by_permutation`` over those two vertex lists, as a list
+  giving each word vertex its tableau's vertex index; both correspondence
+  checks read that one list and its one comparison of the two move tables
+  (``edge_failure``) and of the ranks (``rank_failure``);
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, which the orbit
@@ -260,9 +261,7 @@ class _Checks:
     def to_tab(self) -> list[int] | None:
         """Per word vertex, the index of the tableau of the same permutation;
         None when that pairing is not a bijection."""
-        gw, gt = self.word_graph, self.tableau_graph
-        matching = bijection.match_by_permutation(gw.vertices, gt.vertices)
-        return None if matching is None else [gt.index_of(matching[rho]) for rho in gw.vertices]
+        return bijection.match_by_permutation(self.word_graph.vertices, self.tableau_graph.vertices)
 
     @functools.cached_property
     def rank_failure(self) -> words.Word | None:

@@ -132,12 +132,13 @@ def test_verify_poset_isomorphism():
 def test_match_by_permutation_of_given_lists():
     w = Permutation([4, 3, 2, 1])
     words, tableaux = enumerate_reduced_words(w), enumerate_sbt(w)
-    mapping = match_by_permutation(words, tableaux)
-    assert mapping == {rho: word_to_tableau(rho) for rho in words}
+    matching = match_by_permutation(words, tableaux)
+    assert [tableaux[j] for j in matching] == [word_to_tableau(rho) for rho in words]
+    assert sorted(matching) == list(range(len(tableaux)))
     assert match_by_permutation(words[:-1], tableaux) is None
     assert match_by_permutation(words, tableaux[:-1]) is None
     assert match_by_permutation(words, tableaux[:1] * len(tableaux)) is None
-    assert match_by_permutation([Word()], [Filling({})]) == {Word(): Filling({})}
+    assert match_by_permutation([Word()], [Filling({})]) == [0]
     assert match_by_permutation([Word()], []) is None
     assert match_by_permutation([], [Filling({})]) is None
     assert match_by_permutation([Word([1])], [Filling({})]) is None
@@ -260,10 +261,11 @@ def test_word_to_tableau_matches_reference_and_matching():
     for n in range(1, 6):
         for w in all_permutations(n):
             words = enumerate_reduced_words(w)
-            matched = match_by_permutation(words, enumerate_sbt(w))
-            for rho in words:
+            tableaux = enumerate_sbt(w)
+            matching = match_by_permutation(words, tableaux)
+            for rho, j in zip(words, matching):
                 t = word_to_tableau(rho)
-                assert t == _reference_word_to_tableau(rho) == matched[rho]
+                assert t == _reference_word_to_tableau(rho) == tableaux[j]
                 assert is_balanced(t)
     rng = random.Random(17)
     for n in range(7, 16):

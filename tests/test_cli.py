@@ -280,6 +280,34 @@ def test_graph_json_to_file(tmp_path, capsys):
     assert {"u", "v", "move"} <= set(payload["edges"][0])
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dist", "-w", "7,6,5,4,3,2,1", "--from", "1", "--to", "1"],
+        ["diameter", "-n", "7"],
+        ["graph", "-w", "7,6,5,4,3,2,1"],
+    ],
+)
+def test_budget_below_one_is_refused_as_read(capsys, command, budget):
+    """A budget below 1 is a usage error when the arguments are read, before
+    any of the 1,100,742,656 elements is enumerated."""
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--budget", budget])
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: redwords {command[0]} ")
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        f"redwords {command[0]}: error: argument --budget: "
+        f"must be an integer of at least 1, not '{budget}'"
+    ]
+
+
 def test_graph_budget_exceeded(capsys):
     code, _, err = run_cli(capsys, "graph", "-w", "4,3,2,1", "--budget", "3")
     assert code == 1

@@ -182,6 +182,44 @@ def test_permutation_of_diagram_matches_reference_on_every_cell_set():
     assert decoded == 34
 
 
+def test_every_cell_set_in_a_box_decodes_exactly_when_it_is_a_rothe_diagram():
+    """A cell set in the 3 x 3 box is accepted exactly when it is the Rothe
+    diagram of the permutation returned; any other is refused with one
+    message.  Rows 1..3 with at most 3 cells each fit inside S_6."""
+    box = [(r, c) for r in range(1, 4) for c in range(1, 4)]
+    perms = (w for n in range(1, 7) for w in all_permutations(n))
+    inside = {d for d in map(rothe_diagram, perms) if set(d) <= set(box)}
+    accepted = 0
+    for mask in range(1 << len(box)):
+        d = Diagram(cell for k, cell in enumerate(box) if mask >> k & 1)
+        if d in inside:
+            assert rothe_diagram(permutation_of_diagram(d)) == d
+            accepted += 1
+        else:
+            with pytest.raises(ValueError) as exc:
+                permutation_of_diagram(d)
+            assert str(exc.value) == "cell set is not the diagram of a permutation"
+    assert accepted == len(inside) == 34
+
+
+def test_cells_off_the_quadrant_and_entries_below_one_are_refused():
+    with pytest.raises(ValueError) as exc:
+        Diagram([(1, 1), (0, 2)])
+    assert str(exc.value) == "cell off the first quadrant: (0, 2)"
+    with pytest.raises(ValueError) as exc:
+        Filling({(1, 1): 1, (2, 0): 2})
+    assert str(exc.value) == "cell off the first quadrant: (2, 0)"
+    with pytest.raises(ValueError) as exc:
+        Filling({(1, 1): 1, (1, 2): 0})
+    assert str(exc.value) == "entries must be positive"
+
+
+def test_a_column_that_is_not_an_interval_is_not_a_rothe_diagram():
+    # column 1 reads 1 at the bottom, then 3 in row 3: it skips 2
+    assert not is_rothe_diagram(Diagram([(1, 1), (3, 1)]))
+    assert not is_rothe_diagram([(1, 1), (3, 1)])
+
+
 def test_diagram_text_round_trip():
     d = rothe_diagram(Permutation([4, 2, 1, 5, 3]))
     assert d.to_text() == "1,1;1,2;1,3;2,1;4,3"

@@ -356,6 +356,23 @@ def test_diameter_of_edited_imports():
     assert diameter(graph_from_json(json.dumps(payload))) == 0
 
 
+def test_unconnected_and_empty_edited_imports():
+    payload = json.loads(to_json(build_graph(Permutation([3, 2, 1]), "words")))
+    payload["edges"] = []
+    g = graph_from_json(json.dumps(payload))
+    a, b = g.vertices
+    for measure in (bfs_distance, min_braid_count):
+        assert measure(g, a, a) == 0
+        with pytest.raises(ValueError) as exc:
+            measure(g, a, b)
+        assert str(exc.value) == "vertices are not connected"
+    assert not is_connected(g)
+    payload["vertices"] = []
+    empty = graph_from_json(json.dumps(payload))
+    assert empty.vertices == ()
+    assert is_connected(empty)
+
+
 @pytest.mark.skipif(
     os.environ.get("REDWORDS_STRESS") != "1",
     reason="S_5 stress run; set REDWORDS_STRESS=1 to enable",
@@ -371,19 +388,13 @@ ACTS = {"words": Move.on_word, "tableaux": Move.on_tableau}
 
 
 def _assert_move_table(g):
-    """Slot by slot, the move table holds each move's image of each vertex,
-    and a vertex's neighbours are its images under the moves that act."""
+    """Slot by slot, the move table holds each move's image of each vertex."""
     moves, size = moves_for(g.w.length), len(g.vertices)
     assert len(g.table) == size * len(moves)
     for k, element in enumerate(g.vertices):
         images = [ACTS[g.model](move, element) for move in moves]
         assert [g.vertices[g.table[m * size + k]] for m in range(len(moves))] == images
         assert [g.vertices[j] for j in g.images(k)] == images
-        assert sorted(g.neighbors(k)) == sorted(
-            (g.index_of(image), move.kind == "b")
-            for move, image in zip(moves, images)
-            if image != element
-        )
 
 
 @pytest.mark.parametrize("model", ["words", "tableaux"])
@@ -410,9 +421,6 @@ def test_json_import_has_the_move_table(model):
             g = build_graph(w, model)
             h = graph_from_json(to_json(g))
             assert h.table == g.table
-            assert all(
-                sorted(h.neighbors(k)) == sorted(g.neighbors(k)) for k in range(len(g.vertices))
-            )
 
 
 @pytest.mark.parametrize(

@@ -192,8 +192,8 @@ def _rematch(change):
         honest, top = bijection.match_by_permutation, super_word(W0_4)
 
         def faulty(word_list, tableau_list):
-            mapping = honest(word_list, tableau_list)
-            return change(mapping) if top in word_list else mapping
+            matching = honest(word_list, tableau_list)
+            return change(matching, word_list) if top in word_list else matching
 
         monkeypatch.setattr(bijection, "match_by_permutation", faulty)
 
@@ -201,12 +201,13 @@ def _rematch(change):
 
 
 def _swap(a, b):
-    """Exchange the tableaux matched to the words a and b."""
+    """Exchange the tableau indices matched to the words a and b."""
     a, b = Word.from_text(a), Word.from_text(b)
 
-    def change(mapping):
-        mapping[a], mapping[b] = mapping[b], mapping[a]
-        return mapping
+    def change(matching, word_list):
+        i, j = word_list.index(a), word_list.index(b)
+        matching[i], matching[j] = matching[j], matching[i]
+        return matching
 
     return change
 
@@ -224,7 +225,7 @@ def _flip_one_reversal(monkeypatch):
 
 CORRESPONDENCE_FAULTS = {
     "no_matching": (
-        _rematch(lambda mapping: None),
+        _rematch(lambda matching, word_list: None),
         {
             "bijection_poset_isomorphism": "perm_matching_bijection: w=4,3,2,1",
             "graph_models_isomorphic": "w=4,3,2,1: no bijection",

@@ -419,6 +419,15 @@ def test_reversal_gives_word_for_inverse():
             assert rho.reverse() in target
 
 
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_letter_index_out_of_range_is_refused(i):
+    rho = Word([1, 2, 1])
+    assert [rho.letter(k) for k in (1, 2, 3)] == [1, 2, 1]
+    with pytest.raises(ValueError) as exc:
+        rho.letter(i)
+    assert str(exc.value) == f"letter index {i} out of range 1..3"
+
+
 def test_word_text_round_trip():
     assert str(RHO) == "5,6,3,4,5,7,3,1,4,2,3,6"
     assert Word.from_text(str(RHO)) == RHO
