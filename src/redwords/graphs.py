@@ -262,7 +262,10 @@ def validate_ranked_poset(g: MoveGraph) -> list[CheckResult]:
     """Rank sanity for the move graph: edges step ranks by one, a single
     rank-zero vertex exists, covers go down, and rank equals the BFS
     distance to the rank-zero vertex.  A failure names the first edge
-    (u, v), u < v, or the first vertex at fault."""
+    (u, v), u < v, or the first vertex at fault, an unreached one whatever
+    its rank.  The BFS runs only when the first three fail or a rank is
+    negative: else each vertex descends to rank 0 in rank-many steps of
+    one, and no path is shorter."""
     ranks = g.ranks
     bad_edge = next(  # in (u, v) order; listing g.edges would hold every edge at once
         (
@@ -280,8 +283,9 @@ def validate_ranked_poset(g: MoveGraph) -> list[CheckResult]:
     )
     distance_fail = "no unique rank-0 vertex"
     if len(zeros) == 1:
-        dist = _bfs(g, zeros[0])
-        mismatch = next((k for k, (d, r) in enumerate(zip(dist, ranks)) if d != r), None)
+        proven = bad_edge is None and uncovered is None and min(ranks) >= 0
+        dist = ranks if proven else _bfs(g, zeros[0])
+        mismatch = next((k for k, (d, r) in enumerate(zip(dist, ranks)) if d != r or d < 0), None)
         distance_fail = None if mismatch is None else f"vertex {mismatch}"
     details = {
         "edges_step_rank_by_one": None if bad_edge is None else f"edge {bad_edge}",
@@ -327,12 +331,19 @@ def export(g: MoveGraph, format: str) -> str:
     raise ValueError(f"unknown format: {format!r}")
 
 
+def _int(value, what: str) -> int:
+    """``value`` if it is an int (JSON's ``true`` is not), else a TypeError."""
+    if type(value) is not int:  # bool, float, str or None
+        raise TypeError(f"{what} {value!r} is not an int")
+    return value
+
+
 def graph_from_json(text: str) -> MoveGraph:
     """Rebuild a graph from its JSON export; its edges fill the move table.
 
-    The vertex ids must be 0..V-1, each once, with no element twice and an
-    int rank each; each edge must be a move of w between two vertices, given
-    once.  Any other shape is a ``ValueError``, but elements need not be of w."""
+    The vertex ids must be the ints 0..V-1, each once, with no element twice
+    and an int rank each; each edge must be a move of w between two of them,
+    given once.  Any other shape is a ``ValueError``; elements need not be of w."""
     payload = json.loads(text)
     try:
         model = payload["model"]
@@ -340,23 +351,20 @@ def graph_from_json(text: str) -> MoveGraph:
         w = Permutation.from_text(payload["w"])
         records = sorted(payload["vertices"], key=lambda rec: rec["id"])
         size = len(records)
-        ids = [rec["id"] for rec in records]
+        ids = [_int(rec["id"], "vertex id") for rec in records]
         if ids != list(range(size)):
             twice = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
             if twice is not None:
                 raise ValueError(f"vertex id {twice} given twice")
             raise ValueError(f"vertex ids are not 0..{size - 1}")
-        ranks = [rec["rank"] for rec in records]
-        for r in ranks:
-            if type(r) is not int:  # bool, float, str or None
-                raise TypeError(f"vertex rank {r!r} is not an int")
+        ranks = [_int(rec["rank"], "vertex rank") for rec in records]
         g = MoveGraph(model, w, [parse(rec["elem"]) for rec in records], ranks)
         if len(g._index) < size:
             twice = next(v for k, v in enumerate(g.vertices) if g._index[v] != k)
             raise ValueError(f"element {twice} given twice")
         table, bases = g.table, {move.label: slot * size for slot, move in enumerate(g._moves)}
         for e in payload["edges"]:
-            u, v, label = e["u"], e["v"], e["move"]
+            u, v, label = _int(e["u"], "edge end"), _int(e["v"], "edge end"), e["move"]
             if label not in bases or u == v or not (0 <= u < size and 0 <= v < size):
                 raise ValueError(f"not a move of {w}: {label} from {u} to {v}")
             base = bases[label]

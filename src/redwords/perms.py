@@ -14,7 +14,20 @@ entries are a bijection on 1..n by construction.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect
 from typing import Iterable, Iterator
+
+
+def _inversions(values: Iterable[int]) -> int:
+    """Number of pairs i < j with values[i] > values[j], the package's one
+    inversion count: each value adds the earlier ones above it, bisected
+    from those seen so far, kept sorted.  Equal values make no pair."""
+    seen, count = [], 0
+    for x in values:
+        at = bisect(seen, x)
+        count += len(seen) - at
+        seen.insert(at, x)
+    return count
 
 
 class Permutation(tuple):
@@ -79,12 +92,7 @@ class Permutation(tuple):
     @property
     def length(self) -> int:
         """Number of pairs i < j with entry at i greater than entry at j."""
-        count = 0
-        for i, a in enumerate(self):
-            for b in self[i + 1 :]:
-                if a > b:
-                    count += 1
-        return count
+        return _inversions(self)
 
     def descents(self) -> list[int]:
         """Positions i (1-based) where the entry at i exceeds the entry at i+1."""

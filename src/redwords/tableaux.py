@@ -12,7 +12,6 @@ is read like any other; its permutation is the empty one.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .diagrams import (
@@ -24,7 +23,7 @@ from .diagrams import (
     rothe_diagram,
     super_tableau,
 )
-from .perms import Permutation
+from .perms import Permutation, _inversions
 
 
 def _check_standard(f: Filling) -> None:
@@ -161,6 +160,20 @@ def inversion_pairs(f: Filling) -> list[tuple[int, int]]:
     ]
 
 
+def _entry_rows(f: Filling) -> tuple[list[int], Iterable[list[int]]]:
+    """The rows of the entries 1..ell in entry order, and the same rows split
+    by column.  An entry missing from 1..ell is a ``KeyError``."""
+    if len(f) < 2:  # no pair, so no entry is looked up
+        return [], []
+    pos = f.positions()
+    rows, columns = [], {}
+    for v in range(1, len(f) + 1):
+        r, c = pos[v]
+        rows.append(r)
+        columns.setdefault(c, []).append(r)
+    return rows, columns.values()
+
+
 def tab_inversions(f: Filling) -> int:
     """Number of inversion pairs; the minimum number of moves to the
     super-Yamanouchi tableau.
@@ -168,34 +181,17 @@ def tab_inversions(f: Filling) -> int:
     >>> tab_inversions(super_tableau(Permutation([4, 2, 1, 5, 3])))
     0
 
-    Counts the pairs of ``inversion_pairs`` without listing them.
+    The pairs of ``inversion_pairs`` are the inversions of the rows read in
+    entry order, less those within a column.
     """
-    ell = len(f)
-    if ell < 2:  # no pair, so no entry is looked up
-        return 0
-    pos = f.positions()
-    total = 0
-    for (r1, c1), (r2, c2) in combinations([pos[v] for v in range(1, ell + 1)], 2):
-        if r1 > r2 and c1 != c2:
-            total += 1
-    return total
+    rows, columns = _entry_rows(f)
+    return _inversions(rows) - sum(map(_inversions, columns))
 
 
 def column_inversions(f: Filling) -> int:
     """Pairs i < j with i strictly above j in the same column; counts the
     Yang-Baxter moves on any minimal path to the super tableau."""
-    ell = len(f)
-    if ell < 2:  # no pair, so no entry is looked up
-        return 0
-    pos = f.positions()
-    above: dict[int, list[int]] = {}  # column -> rows of the smaller entries
-    total = 0
-    for j in range(1, ell + 1):
-        r, c = pos[j]
-        rows = above.setdefault(c, [])
-        total += sum(1 for r2 in rows if r2 > r)
-        rows.append(r)
-    return total
+    return sum(map(_inversions, _entry_rows(f)[1]))
 
 
 def tab_permutation(f: Filling) -> Permutation:
@@ -214,17 +210,9 @@ def tab_permutation(f: Filling) -> Permutation:
 
 
 def row_coinversions(f: Filling) -> int:
-    """Pairs of entries i < j in one row with i left of j, summed over rows."""
-    total = 0
-    for entries_by_col in f.rows().values():
-        entries = [e for _, e in entries_by_col]
-        total += sum(
-            1
-            for a in range(len(entries))
-            for b in range(a + 1, len(entries))
-            if entries[a] < entries[b]
-        )
-    return total
+    """Pairs of entries i < j in one row with i left of j, summed over rows:
+    the inversions of each row read right to left."""
+    return sum(_inversions(e for _, e in reversed(row)) for row in f.rows().values())
 
 
 def reconstruct_from_row_multisets(

@@ -28,7 +28,7 @@ from bisect import bisect
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .perms import Permutation
+from .perms import Permutation, _inversions
 
 
 class Word(tuple):
@@ -280,12 +280,7 @@ def _rows(word: Word) -> tuple[Permutation, list[int], int]:
     w, created = _replay(word)
     row_of = sorted(range(len(w)), key=w.__getitem__)  # value y's position in w, at y - 1
     rows = [row_of[y - 1] for y, _ in created]
-    seen, inversions = [], 0  # seen: the rows of the swaps so far, rising
-    for r in rows:
-        at = bisect(seen, r)
-        inversions += len(seen) - at
-        seen.insert(at, r)
-    return w, rows, inversions
+    return w, rows, _inversions(rows)
 
 
 def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:

@@ -458,10 +458,15 @@ def test_graph_from_json_rejects_edges_that_are_not_moves(edit, message):
         (lambda payload: payload["vertices"][0].update(rank=1.0), "TypeError: vertex rank 1.0 is not an int$"),
         (lambda payload: payload["vertices"][0].update(rank=None), "TypeError: vertex rank None is not an int$"),
         (lambda payload: payload["vertices"][0].update(rank=True), "TypeError: vertex rank True is not an int$"),
+        (lambda payload: payload["vertices"][1].update(id=True), "TypeError: vertex id True is not an int$"),
+        (
+            lambda payload: payload["edges"][0].update(u=False, v=True),
+            "TypeError: edge end False is not an int$",
+        ),
     ],
     ids=[
         "no_edges", "no_w", "string_id", "top_level_list", "list_model", "integer_elem",
-        "string_rank", "float_rank", "null_rank", "bool_rank",
+        "string_rank", "float_rank", "null_rank", "bool_rank", "bool_id", "bool_edge_ends",
     ],
 )
 def test_graph_from_json_rejects_payloads_of_another_shape(edit, message):
@@ -605,3 +610,27 @@ def test_build_graph_names_a_move_image_outside_the_vertex_set(monkeypatch, mode
     assert str(caught.value) == (
         f"move b2 takes {source} to {stranger}, which is not an element of 4,3,2,1"
     )
+
+
+def test_validate_ranked_poset_refuses_an_unreached_vertex_of_rank_minus_one():
+    """The 3,2,1 words graph with its one edge removed and the other
+    vertex's rank set to -1: the BFS leaves that vertex unreached, which is a
+    fault whatever its rank."""
+    payload = json.loads(to_json(build_graph(Permutation([3, 2, 1]), "words")))
+    payload["edges"] = []
+    other = next(v for v in payload["vertices"] if v["rank"] != 0)
+    other["rank"] = -1
+    g = graph_from_json(json.dumps(payload))
+    assert not is_connected(g)
+    results = validate_ranked_poset(g)
+    assert [r.detail for r in results] == [None, None, None, f"vertex {other['id']}"]
+    assert [r.passed for r in results] == [True, True, True, False]
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_validating_a_built_graph_makes_no_bfs(monkeypatch, model):
+    runs = _bfs_counted(monkeypatch)
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            assert all(r.passed for r in validate_ranked_poset(build_graph(w, model)))
+    assert runs == []

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from redwords import Permutation, all_permutations
+from redwords.perms import _inversions
 
 perm_strategy = st.integers(1, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -24,6 +27,36 @@ def test_length_examples():
     assert Permutation([4, 2, 1, 5, 3]).length == 5
     assert Permutation.identity(7).length == 0
     assert Permutation([2, 3, 5, 1, 8, 9, 10, 4, 6, 7, 11, 12]).length == 13
+
+
+def _pair_inversions(values):
+    """The pair definition: i < j with values[i] > values[j]."""
+    return sum(
+        1 for i in range(len(values)) for j in range(i + 1, len(values)) if values[i] > values[j]
+    )
+
+
+def test_inversions_count_the_pairs():
+    assert _inversions(()) == 0
+    assert _inversions([7]) == 0
+    assert _inversions([3, 1, 3, 2]) == 3  # equal values make no pair
+    rng = random.Random(27)
+    for size in range(2, 60):
+        for top in (1, 2, size // 3 + 1, 3 * size):  # few values, so many ties, up to none
+            values = [rng.randint(1, top) for _ in range(size)]
+            assert _inversions(values) == _pair_inversions(values), values
+            assert _inversions(iter(values)) == _pair_inversions(values)
+
+
+def test_length_counts_the_pairs():
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            assert p.length == _pair_inversions(p), p
+    rng = random.Random(7)
+    for n in range(7, 51):
+        entries = list(range(1, n + 1))
+        rng.shuffle(entries)
+        assert Permutation(entries).length == _pair_inversions(entries), entries
 
 
 def test_swap_examples():

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, product
 from itertools import permutations as itertools_permutations
 
@@ -20,10 +21,13 @@ from redwords import (
     row_coinversions,
     row_interval_filling,
     super_tableau,
+    super_word,
     tab_braid,
     tab_commutation,
     tab_inversions,
     tab_permutation,
+    word_inversions,
+    word_to_permutation,
 )
 
 from redwords.bijection import moves_for, word_to_tableau
@@ -185,6 +189,43 @@ def test_inversion_identity():
     for w in all_permutations(4):
         for t in enumerate_sbt(w):
             assert tab_inversions(t) == tab_permutation(t).length - row_coinversions(t)
+
+
+def _reference_row_coinversions(f):
+    """The pairwise definition: entries i < j in one row, i left of j."""
+    return sum(
+        1
+        for row in f.rows().values()
+        for (_, e1), (_, e2) in combinations(row, 2)
+        if e1 < e2
+    )
+
+
+def test_row_coinversions_match_pairwise_count():
+    """Every standard filling of every Rothe diagram of S_1..S_4."""
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            cells = rothe_diagram(w).cells
+            for values in itertools_permutations(range(1, len(cells) + 1)):
+                f = Filling(zip(cells, values))
+                assert row_coinversions(f) == _reference_row_coinversions(f)
+
+
+def test_inversion_statistics_of_a_10000_cell_tableau_are_fast():
+    """The tableau of a seeded reduced word of a rank-200 permutation: the
+    three tableau statistics agree with the word's, and with the inversion
+    identity, and together take well under a second."""
+    word = random_reduced_word(random.Random(200), 200)
+    t = word_to_tableau(word)
+    assert len(t) == len(word) > 10_000
+    start = time.perf_counter()
+    inversions, braids, coinversions = tab_inversions(t), column_inversions(t), row_coinversions(t)
+    elapsed = time.perf_counter() - start
+    w = word_to_permutation(word)
+    assert inversions == word_inversions(word)
+    assert braids == sum(super_word(w)) - sum(word)
+    assert inversions == tab_permutation(t).length - coinversions
+    assert elapsed < 1.0, elapsed
 
 
 def test_reconstruct_from_row_multisets():
