@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .bijection import tableau_to_word, word_to_tableau
@@ -18,7 +19,7 @@ from .graphs import (
     MODELS,
     build_graph,
     diameter,
-    export,
+    export_records,
     lookup_model,
     shortest_paths,
 )
@@ -196,11 +197,9 @@ def _cmd_tableau_map(args) -> int:
 def _cmd_graph(args) -> int:
     w = Permutation.from_text(args.w)
     g = build_graph(w, args.model, max_vertices=args.budget)
-    document = export(g, args.format)
-    if args.output:
-        Path(args.output).write_text(document + "\n")
-    else:
-        print(document)
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        out.writelines(export_records(g, args.format))  # each record as it is made
+        out.write("\n")
     return 0
 
 

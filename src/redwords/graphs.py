@@ -14,7 +14,7 @@ import json
 from array import array
 from collections import deque
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import diagrams, tableaux, words
 from .bijection import moves_for, tableau_to_word
@@ -29,25 +29,11 @@ Vertex = Word | Filling
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
-# Per model: the element type (``from_text``, ``to_text``); the functions
-# giving the elements of w, an element's rank and the super element of w,
-# each as (module, name) and looked up in the module that defines it on each
-# use, so that a function rebound there is the one called; the key sorting
-# elements into vertex order; the ``Move`` method acting on them.
-MODELS = {
-    "words": (
-        Word, (words, "iter_reduced_words"), (words, "word_inversions"), (words, "super_word"),
-        None, "on_word",
-    ),
-    "tableaux": (
-        Filling, (tableaux, "_iter_sbt"), (tableaux, "tab_inversions"), (diagrams, "super_tableau"),
-        attrgetter("entries"), "on_tableau",
-    ),
-}
-
 
 class Model(NamedTuple):
-    """A row of ``MODELS`` with its (module, name) pairs replaced by functions."""
+    """A model's element type (``from_text``, ``to_text``); the elements of
+    w, an element's rank and the super element of w; the key sorting
+    elements into vertex order; the ``Move`` method acting on them."""
 
     type: type
     elements: Callable[[Permutation], Iterable[Vertex]]
@@ -57,13 +43,23 @@ class Model(NamedTuple):
     act: str
 
 
+# Per model, its ``Model``, made on each lookup from the functions of the
+# modules that define them, so that a function rebound there is the one called.
+MODELS = {
+    "words": lambda: Model(
+        Word, words.iter_reduced_words, words.word_inversions, words.super_word, None, "on_word"
+    ),
+    "tableaux": lambda: Model(
+        Filling, tableaux._iter_sbt, tableaux.tab_inversions, diagrams.super_tableau,
+        attrgetter("entries"), "on_tableau",
+    ),
+}
+
+
 def lookup_model(name: str) -> Model:
-    """The row of ``MODELS`` called ``name``, with its functions looked up."""
     if name not in MODELS:
         raise ValueError(f"unknown model: {name!r}")
-    kind, elements, rank, top, order, act = MODELS[name]
-    elements, rank, top = (getattr(module, function) for module, function in (elements, rank, top))
-    return Model(kind, elements, rank, top, order, act)
+    return MODELS[name]()
 
 
 class MoveGraph:
@@ -113,6 +109,13 @@ class MoveGraph:
             label, images = move.label, self.table[slot * size : (slot + 1) * size]
             edges.extend((k, j, label) for k, j in enumerate(images) if k < j)
         return tuple(sorted(edges))
+
+    def iter_edges(self) -> Iterator[tuple[int, int, str]]:
+        """``edges`` one vertex at a time: each vertex k's images j > k with
+        their labels, sorted, with no list of every edge."""
+        labels = [move.label for move in self._moves]
+        for k in range(len(self.vertices)):
+            yield from sorted([(k, j, label) for j, label in zip(self.images(k), labels) if k < j])
 
     def index_of(self, vertex: Vertex) -> int:
         try:
@@ -267,15 +270,7 @@ def validate_ranked_poset(g: MoveGraph) -> list[CheckResult]:
     negative: else each vertex descends to rank 0 in rank-many steps of
     one, and no path is shorter."""
     ranks = g.ranks
-    bad_edge = next(  # in (u, v) order; listing g.edges would hold every edge at once
-        (
-            (u, v)
-            for u, r in enumerate(ranks)
-            for v in sorted(g.images(u))
-            if u < v and abs(r - ranks[v]) != 1
-        ),
-        None,
-    )
+    bad_edge = next(((u, v) for u, v, _ in g.iter_edges() if abs(ranks[u] - ranks[v]) != 1), None)
     zeros = [k for k, r in enumerate(ranks) if r == 0]
     uncovered = next(
         (k for k, r in enumerate(ranks) if r > 0 and all(ranks[v] != r - 1 for v in g.images(k))),
@@ -296,39 +291,45 @@ def validate_ranked_poset(g: MoveGraph) -> list[CheckResult]:
     return [CheckResult(name, detail is None, detail) for name, detail in details.items()]
 
 
-def to_dot(g: MoveGraph) -> str:
-    """Graphviz text: undirected, nodes annotated with rank, edges with the
-    move label."""
-    lines = ["graph {"]
-    for k in range(len(g.vertices)):
-        lines.append(
-            f'  {k} [label="{g.vertices[k].to_text()}" rank={g.ranks[k]}];'
-        )
-    for u, v, label in g.edges:
-        lines.append(f'  {u} -- {v} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)
+def export_records(g: MoveGraph, format: str) -> Iterator[str]:
+    """``export(g, format)`` one vertex or edge record at a time: Graphviz
+    text, nodes annotated with rank and edges with the move label, or indent-2
+    JSON; edges in ``iter_edges`` order.  No element text, label or w needs escaping."""
+    vertices = ((k, v.to_text(), r) for k, (v, r) in enumerate(zip(g.vertices, g.ranks)))
+    if format == "dot":
+        yield "graph {"
+        yield from (f'\n  {k} [label="{text}" rank={r}];' for k, text, r in vertices)
+        yield from (f'\n  {u} -- {v} [label="{label}"];' for u, v, label in g.iter_edges())
+        yield "\n}"
+    elif format == "json":
+        yield f'{{\n  "model": "{g.model}",\n  "w": "{g.w}",\n  "vertices": '
+        yield from _json_list('"id": {},\n      "elem": "{}",\n      "rank": {}', vertices)
+        yield ',\n  "edges": '
+        yield from _json_list('"u": {},\n      "v": {},\n      "move": "{}"', g.iter_edges())
+        yield "\n}"
+    else:
+        raise ValueError(f"unknown format: {format!r}")
 
 
-def to_json(g: MoveGraph) -> str:
-    payload = {
-        "model": g.model,
-        "w": str(g.w),
-        "vertices": [
-            {"id": k, "elem": g.vertices[k].to_text(), "rank": g.ranks[k]}
-            for k in range(len(g.vertices))
-        ],
-        "edges": [{"u": u, "v": v, "move": label} for u, v, label in g.edges],
-    }
-    return json.dumps(payload, indent=2)
+def _json_list(fields: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """A list at depth 1 of an indent-2 JSON document: an object per row, ``fields`` filled in."""
+    opening = "["
+    for row in rows:
+        yield f"{opening}\n    {{\n      {fields.format(*row)}\n    }}"
+        opening = ","
+    yield "[]" if opening == "[" else "\n  ]"
 
 
 def export(g: MoveGraph, format: str) -> str:
-    if format == "dot":
-        return to_dot(g)
-    if format == "json":
-        return to_json(g)
-    raise ValueError(f"unknown format: {format!r}")
+    return "".join(export_records(g, format))
+
+
+def to_dot(g: MoveGraph) -> str:
+    return export(g, "dot")
+
+
+def to_json(g: MoveGraph) -> str:
+    return export(g, "json")
 
 
 def _int(value, what: str) -> int:

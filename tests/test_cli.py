@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from redwords import Filling, Permutation, super_tableau
+from redwords import Filling, Permutation, build_graph, export, super_tableau
 from redwords.cli import main
 
 from conftest import WORD_GRID_42153
@@ -280,7 +280,26 @@ def test_graph_json_to_file(tmp_path, capsys):
     assert {"u", "v", "move"} <= set(payload["edges"][0])
 
 
-@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_graph_writes_the_export_and_a_newline(tmp_path, capsys, model, fmt):
+    g = build_graph(Permutation([4, 2, 1, 5, 3]), model)
+    command = ["graph", "-w", "4,2,1,5,3", "--model", model, "--format", fmt]
+    assert run_cli(capsys, *command) == (0, export(g, fmt) + "\n", "")
+    target = tmp_path / "graph.out"
+    assert run_cli(capsys, *command, "-o", str(target)) == (0, "", "")
+    assert target.read_text() == export(g, fmt) + "\n"
+
+
+def test_graph_opens_its_output_only_after_the_build(tmp_path, capsys):
+    target = tmp_path / "graph.out"
+    code, _, err = run_cli(capsys, "graph", "-w", "4,3,2,1", "--budget", "3", "-o", str(target))
+    assert code == 1
+    assert "budget" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "abc", "1.5"])
 @pytest.mark.parametrize(
     "command",
     [
@@ -290,8 +309,9 @@ def test_graph_json_to_file(tmp_path, capsys):
     ],
 )
 def test_budget_below_one_is_refused_as_read(capsys, command, budget):
-    """A budget below 1 is a usage error when the arguments are read, before
-    any of the 1,100,742,656 elements is enumerated."""
+    """A budget below 1, or not an integer, is a usage error when the
+    arguments are read, before any of the 1,100,742,656 elements is
+    enumerated."""
     start = time.monotonic()
     with pytest.raises(SystemExit) as exc:
         main([*command, "--budget", budget])

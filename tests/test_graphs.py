@@ -95,6 +95,13 @@ EXPORT_DIGESTS = {
 }
 
 
+# The same over the DOT exports.
+DOT_DIGESTS = {
+    "words": "a1c397809c81a327bddc98ee3b9f8feda3cd45bb2db9b2352fff0e36fdee0226",
+    "tableaux": "2cd3255f3430c01b841c71059ad416bc5bfa91b165475a3c139f547d913699c8",
+}
+
+
 @pytest.mark.parametrize("model", sorted(EXPORT_DIGESTS))
 def test_exports_are_byte_identical(model):
     digest = hashlib.sha256()
@@ -102,6 +109,31 @@ def test_exports_are_byte_identical(model):
         for w in all_permutations(n):
             digest.update(to_json(build_graph(w, model)).encode())
     assert digest.hexdigest() == EXPORT_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", sorted(DOT_DIGESTS))
+def test_dot_exports_are_byte_identical(model):
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            digest.update(to_dot(build_graph(w, model)).encode())
+    assert digest.hexdigest() == DOT_DIGESTS[model]
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_edge_walk_is_the_edge_list_in_order(model):
+    for n in range(1, 6):
+        for w in all_permutations(n):
+            g = build_graph(w, model)
+            assert tuple(g.iter_edges()) == g.edges, w
+
+
+def test_zero_vertex_import_exports_empty_lists():
+    g = graph_from_json('{"model": "words", "w": "3,2,1", "vertices": [], "edges": []}')
+    assert export(g, "json") == (
+        '{\n  "model": "words",\n  "w": "3,2,1",\n  "vertices": [],\n  "edges": []\n}'
+    )
+    assert export(g, "dot") == "graph {\n}"
 
 
 def test_identity_graph():
@@ -273,6 +305,7 @@ def test_model_functions_are_looked_up_on_each_use(monkeypatch):
 
 
 def test_lookup_model_rows(monkeypatch):
+    from redwords import diagrams, tableaux, words
     from redwords.graphs import MODELS, lookup_model
 
     for name in MODELS:
@@ -282,11 +315,18 @@ def test_lookup_model_rows(monkeypatch):
         assert m.rank(top) == 0
         assert m.type.from_text(top.to_text()) == top
         assert top in set(m.elements(w))
-    for name, (_, *functions, _, _) in MODELS.items():  # rebound where defined
-        for field, (module, function) in zip(("elements", "rank", "top"), functions):
-            rebound = lambda *args: None  # noqa: E731
-            monkeypatch.setattr(module, function, rebound)
-            assert getattr(lookup_model(name), field) is rebound
+    defined = [  # (model, field, the module defining its function, the function's name)
+        ("words", "elements", words, "iter_reduced_words"),
+        ("words", "rank", words, "word_inversions"),
+        ("words", "top", words, "super_word"),
+        ("tableaux", "elements", tableaux, "_iter_sbt"),
+        ("tableaux", "rank", tableaux, "tab_inversions"),
+        ("tableaux", "top", diagrams, "super_tableau"),
+    ]
+    for name, field, module, function in defined:  # rebound where defined
+        rebound = lambda *args: None  # noqa: E731
+        monkeypatch.setattr(module, function, rebound)
+        assert getattr(lookup_model(name), field) is rebound
     with pytest.raises(ValueError, match="unknown model"):
         lookup_model("braids")
 
@@ -352,6 +392,14 @@ def test_diameter_of_edited_imports():
     g = graph_from_json(json.dumps(payload))
     assert super_word(g.w) not in g.vertices
     assert diameter(g) == _all_pairs_diameter(g) == 7
+    # the super word renamed away and the edges removed: the sweep finds it unconnected
+    payload = json.loads(to_json(build_graph(Permutation([3, 2, 1]), "words")))
+    next(v for v in payload["vertices"] if v["rank"] == 0)["elem"] = "9,9,9"
+    payload["edges"] = []
+    g = graph_from_json(json.dumps(payload))
+    assert super_word(g.w) not in g.vertices
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        diameter(g)
     payload["vertices"] = payload["edges"] = []
     assert diameter(graph_from_json(json.dumps(payload))) == 0
 
@@ -593,6 +641,51 @@ def test_rank6_graph_pair_fits_under_500_mb_stress():
     )
     peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
     assert peak_mb < 500, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="rank-6 stress run; set REDWORDS_STRESS=1 to enable",
+)
+@pytest.mark.parametrize(
+    "fmt,to_file,digest",
+    [
+        ("json", True, "282f1c997a9d825de91342231b2d2dce97e5af46538931256ac404e3e4fe1d3a"),
+        ("dot", False, "3fd71235df452b4460294ad17a927d0ab2a8bd3cd357fa694e4bba7b8229750c"),
+    ],
+    ids=["json_to_file", "dot_to_stdout"],
+)
+def test_rank6_export_streams_under_300_mb_stress(tmp_path, fmt, to_file, digest):
+    """``graph -w 6,5,4,3,2,1`` in a fresh process writes the same bytes as
+    before the export streamed, and peaks under 300 MB of resident memory,
+    against its graph's 125 MB.  A wrapper process reads the peak of the
+    command alone, its one child."""
+    import subprocess
+    import sys
+
+    import redwords
+
+    stdout = tmp_path / "stdout"
+    written = tmp_path / f"w0.{fmt}" if to_file else stdout
+    command = [sys.executable, "-m", "redwords.cli", "graph", "-w", "6,5,4,3,2,1", "--format", fmt]
+    command += ["-o", str(written)] if to_file else []
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(redwords.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(stdout, "wb") as out:
+        run = subprocess.run(
+            [sys.executable, "-c", wrapper, *command],
+            env=env, stdout=out, stderr=subprocess.PIPE, text=True, check=True,
+        )
+    peak_mb = int(run.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == digest
+    if to_file:
+        assert stdout.read_bytes() == b""
+    assert peak_mb < 300, f"peak RSS {peak_mb:.0f} MB"
 
 
 @pytest.mark.parametrize("model", ["words", "tableaux"])

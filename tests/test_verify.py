@@ -15,9 +15,11 @@ from redwords import (
     Word,
     all_permutations,
     bijection,
+    diagrams,
     enumerate_reduced_words,
     enumerate_sbt,
     graphs,
+    perms,
     run_suite,
     staircase_tableau_count,
     super_tableau,
@@ -96,6 +98,111 @@ def test_suite_detects_a_wrong_statistic(monkeypatch, module, name, check):
     results = {r.name: r for r in run_suite(4)}
     assert not results[check].passed
     assert results[check].detail.startswith("w=4,3,2,1 ")
+
+
+def _cut_last(honest):
+    """shortest_paths with its last vertex read as unreached."""
+
+    def cut(g, source):
+        dist, braids = honest(g, source)
+        dist[-1] = -1
+        return dist, braids
+
+    return cut
+
+
+def _longer_from_below(honest):
+    """shortest_paths one step too long at vertex 0 from any source but the
+    super element (rank 0)."""
+
+    def skewed(g, source):
+        dist, braids = honest(g, source)
+        dist[0] += g.ranks[g.index_of(source)] > 0
+        return dist, braids
+
+    return skewed
+
+
+W0_TOP = super_tableau(Permutation.longest(4))  # vertex 0 of the 4,3,2,1 tableau graph
+
+# (check, where a function is rebound, its name there, the rebinding made
+# from the honest function, the detail reported).  Word.reverse and
+# Diagram.transpose are methods, rebound on their class: no module function
+# reaches those two details without also breaking the graph builds.
+DETAIL_FAULTS = [
+    (
+        "perm_swap_steps_length", perms, "_inversions",
+        lambda honest: lambda v: honest(v) + (tuple(v) == (1, 2, 3, 4)), "w=1,2,3,4 i=1",
+    ),
+    (
+        "diagram_shape_and_transpose", perms, "_inversions",
+        lambda honest: lambda v: honest(v) + (tuple(v) == (1, 2, 3, 4)), "w=1,2,3,4: cells 0 != length 1",
+    ),
+    (
+        "diagram_shape_and_transpose", diagrams, "is_rothe_diagram",
+        lambda honest: lambda d: False, "w=1,2,3,4: failed the interval test",
+    ),
+    (
+        "diagram_shape_and_transpose", diagrams.Diagram, "transpose",
+        lambda honest: lambda d: d, "w=1,3,4,2: transpose mismatch",
+    ),
+    (
+        "word_super_exists_unique", words, "is_reduced",
+        lambda honest: lambda *args: False, "w=1,2,3,4: super word not reduced",
+    ),
+    (
+        "word_super_exists_unique", words, "word_to_permutation",
+        lambda honest: lambda word, n=None: honest(word, n).inverse(),
+        "w=1,3,4,2: super word is for the wrong permutation",
+    ),
+    (
+        "word_super_exists_unique", words, "is_super_yamanouchi",
+        lambda honest: lambda word: True, "w=1,4,3,2: super words [Word((2, 3, 2)), Word((3, 2, 3))]",
+    ),
+    (
+        "word_pairing_identity_iff_super", words, "pairing_permutation",
+        lambda honest: lambda word: Permutation.identity(len(word)), "w=1,4,3,2 rho=2,3,2",
+    ),
+    ("word_reversal_inverts", Word, "reverse", lambda honest: lambda word: word, "w=1,3,4,2 rho=3,2"),
+    (
+        "tableau_super_balanced_rank_zero", tableaux, "tab_inversions",
+        lambda honest: lambda t: honest(t) + (len(t) == 0), "w=1,2,3,4: super tableau has inversions",
+    ),
+    (
+        "tableau_super_balanced_rank_zero", tableaux, "tab_permutation",
+        lambda honest: lambda t: Permutation.identity(len(t) + 1),
+        "w=1,2,3,4: super tableau permutation not identity",
+    ),
+    (
+        "tableau_row_sort_reconstruction", tableaux, "reconstruct_from_row_multisets",
+        lambda honest: lambda d, rows: None, "w=1,2,3,4 tableau=",
+    ),
+    (
+        "tableau_flip_involution_intertwines", tableaux, "flip",
+        lambda honest: lambda t: super_tableau(Permutation([2, 1])) if t == W0_TOP else honest(t),
+        f"w=4,3,2,1 tableau={W0_TOP}: image not balanced for inverse",
+    ),
+    (
+        "tableau_flip_involution_intertwines", tableaux, "flip",
+        lambda honest: lambda t: honest(tableaux.psi(t)) if t == W0_TOP else honest(t),
+        f"w=4,3,2,1 tableau={W0_TOP}: not an involution",
+    ),
+    ("graph_connected_ranked", graphs, "shortest_paths", _cut_last, "w=1,2,3,4 words: disconnected"),
+    ("w0_diameter_formula", graphs, "diameter", lambda honest: lambda g: 0, "diameter 0 != 7"),
+    ("w0_diameter_formula", tableaux, "psi", lambda honest: lambda t: t, "extremes do not attain the diameter"),
+    ("w0_distances_split_through_extremes", graphs, "shortest_paths", _longer_from_below, "vertex 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "check,where,name,rebinding,detail",
+    DETAIL_FAULTS,
+    ids=[f"{fault[0]}-{fault[2]}" for fault in DETAIL_FAULTS],
+)
+def test_suite_reports_each_failure_detail(monkeypatch, check, where, name, rebinding, detail):
+    monkeypatch.setattr(where, name, rebinding(getattr(where, name)))
+    result = {r.name: r for r in run_suite(4)}[check]
+    assert (result.passed, result.detail) == (False, detail)
 
 
 def test_cli_verify_exits_two_on_a_failure(monkeypatch, capsys):
