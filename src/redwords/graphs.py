@@ -57,6 +57,7 @@ MODELS = {
 
 
 def lookup_model(name: str) -> Model:
+    """The ``Model`` called ``name``, made from its modules' functions as they stand now."""
     if name not in MODELS:
         raise ValueError(f"unknown model: {name!r}")
     return MODELS[name]()
@@ -102,20 +103,15 @@ class MoveGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
-        """Every (k, j, label) with k < j the image of vertex k under the
-        move ``label``, sorted."""
-        size, edges = len(self.vertices), []
-        for slot, move in enumerate(self._moves):
-            label, images = move.label, self.table[slot * size : (slot + 1) * size]
-            edges.extend((k, j, label) for k, j in enumerate(images) if k < j)
-        return tuple(sorted(edges))
+        """Every edge of ``iter_edges``, in its order."""
+        return tuple(self.iter_edges())
 
     def iter_edges(self) -> Iterator[tuple[int, int, str]]:
-        """``edges`` one vertex at a time: each vertex k's images j > k with
-        their labels, sorted, with no list of every edge."""
-        labels = [move.label for move in self._moves]
-        for k in range(len(self.vertices)):
-            yield from sorted([(k, j, label) for j, label in zip(self.images(k), labels) if k < j])
+        """Every (k, j, label) with k < j the image of vertex k under the
+        move ``label``, sorted, one vertex at a time: no list of every edge."""
+        size, labels = len(self.vertices), [move.label for move in self._moves]
+        for k in range(size):  # k's images, read as in ``images`` without a call per vertex
+            yield from sorted([(k, j, label) for j, label in zip(self.table[k::size], labels) if k < j])
 
     def index_of(self, vertex: Vertex) -> int:
         try:

@@ -125,7 +125,15 @@ def test_edge_walk_is_the_edge_list_in_order(model):
     for n in range(1, 6):
         for w in all_permutations(n):
             g = build_graph(w, model)
-            assert tuple(g.iter_edges()) == g.edges, w
+            size = len(g.vertices)
+            images = [(slot, move.label) for slot, move in enumerate(g._moves)]
+            expected = sorted(
+                (k, j, label)
+                for slot, label in images
+                for k, j in enumerate(g.table[slot * size : (slot + 1) * size])
+                if k < j
+            )
+            assert list(g.iter_edges()) == expected == list(g.edges), w
 
 
 def test_zero_vertex_import_exports_empty_lists():
