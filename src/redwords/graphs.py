@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from array import array
 from collections import deque
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -66,6 +67,7 @@ def lookup_model(name: str) -> Model:
 class MoveGraph:
     """Undirected simple graph whose edges are single nontrivial moves,
     with a rank (inversion number) per vertex, stored as its move table.
+    Ranks given are kept; else the first read of ``ranks`` computes them.
 
     For move slot m of ``moves_for(w.length)`` (c1..c(ell-1), then
     b2..b(ell-1)), ``table[m * len(vertices) + k]`` is the index of that
@@ -75,11 +77,12 @@ class MoveGraph:
     vertex's images, its neighbours and the edge list are read from it.
     """
 
-    def __init__(self, model: str, w: Permutation, vertices: Iterable[Vertex], ranks: Iterable[int]):
+    def __init__(self, model: str, w: Permutation, vertices: Iterable[Vertex], ranks: Iterable[int] | None = None):
         self.model = model
         self.w = w
         self.vertices: tuple[Vertex, ...] = tuple(vertices)
-        self.ranks: tuple[int, ...] = tuple(ranks)
+        if ranks is not None:
+            self.ranks = tuple(ranks)
         self._index = {v: k for k, v in enumerate(self.vertices)}
         self._moves = moves_for(w.length)  # the move of each slot
         self.table = array("i", range(len(self.vertices))) * len(self._moves)
@@ -100,6 +103,12 @@ class MoveGraph:
             f"MoveGraph(model={self.model!r}, w={self.w}, "
             f"|V|={size}, |E|={sum(i % size < j for i, j in enumerate(self.table))})"
         )
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Each vertex's rank, in vertex order, by the model's rank function as
+        looked up at the first read; kept from then on."""
+        return tuple(map(lookup_model(self.model).rank, self.vertices))
 
     @property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
@@ -135,6 +144,7 @@ def build_graph(
     right-to-left index (words) or entry value (tableaux) of the move, so
     the two models are comparable under the matching bijection.  Each move
     is applied once to each vertex, and its image fills the move table.
+    No rank is computed here: ``MoveGraph.ranks`` ranks on its first read.
     """
     m = lookup_model(model)
     vertices: list[Vertex] = []
@@ -145,7 +155,7 @@ def build_graph(
                 f"vertex budget exceeded: more than {max_vertices} elements"
             )
     vertices.sort(key=m.order)
-    g = MoveGraph(model, w, vertices, [m.rank(element) for element in vertices])
+    g = MoveGraph(model, w, vertices)
     size, index, table = len(vertices), g._index, g.table
     moves = [(getattr(move, m.act), move.label, slot * size) for slot, move in enumerate(g._moves)]
     for k, element in enumerate(vertices):

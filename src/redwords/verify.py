@@ -31,15 +31,15 @@ Six rules keep a run from doing the same work twice:
   search per vertex; that pass also shows whether the graph is connected;
 - each move is applied once, by ``graphs.build_graph``; checks read each
   vertex's images through ``MoveGraph.images``; no check reads an edge list;
-- each element's rank is computed once, by ``graphs.build_graph``, and read
-  from ``MoveGraph.ranks``; each other statistic of each tableau (column
-  inversions, balance, flip, complement) is computed into a list filled once
-  per (member, statistic) that every check reading it shares; both are
-  called through the module defining them, so that a rebound function still
-  reaches the check; flip and complement are listed as vertex indices, -1
-  outside the inverse's graph, so their involution tests compare indices;
-  both move checks share one loop, in which a move image equal to its
-  source is not examined again;
+- each element's rank is computed once, on the first read of
+  ``MoveGraph.ranks``, and read from there; each other statistic of each
+  tableau (column inversions, balance, flip, complement) is computed into
+  a list filled once per (member, statistic) that every check reading it
+  shares; both are called through the module defining them, so that a
+  rebound function still reaches the check; flip and complement are listed
+  as vertex indices, -1 outside the inverse's graph, so their involution
+  tests compare indices; both move checks share one loop, in which a move
+  image equal to its source is not examined again;
 - the super word of w is built once, by ``words.super_word``, which keeps
   it for the calls that follow on the same w; no check hands it on.
 """

@@ -306,3 +306,20 @@ def words_4321():
 @pytest.fixture
 def tableaux_4321():
     return {name: tableau_4321(entry) for name, entry in TABLEAU_GRID_4321.items()}
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Every element that ``word_inversions`` or ``tab_inversions``, rebound
+    in its defining module, is called on, in call order."""
+    from redwords import tableaux, words
+
+    calls = []
+    for module, name in ((words, "word_inversions"), (tableaux, "tab_inversions")):
+
+        def counted(element, honest=getattr(module, name)):
+            calls.append(element)
+            return honest(element)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

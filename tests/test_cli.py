@@ -175,6 +175,24 @@ def test_diameter_exact_and_formula_agree(capsys):
     assert json.loads(as_json) == {"diameter": 7}
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["dist", "-w", "4,3,2,1", "--from", "1,2,1,3,2,1", "--to", "1,3,2,1,3,2"], "distance: 4\nmin_braids: 2\n"),
+        (
+            ["dist", "-w", "4,3,2,1", "--model", "tableaux",
+             "--from", "1,1,3;1,2,2;1,3,1;2,1,5;2,2,4;3,1,6", "--to", "1,1,4;1,2,5;1,3,6;2,1,2;2,2,3;3,1,1"],
+            "distance: 7\nmin_braids: 4\n",
+        ),
+        (["diameter", "-n", "5"], "25\n"),
+        (["diameter", "-n", "5", "--shortcut"], "25\n"),
+    ],
+)
+def test_distance_commands_make_no_rank_call(capsys, rank_calls, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    assert rank_calls == []
+
+
 @pytest.mark.skipif(
     os.environ.get("REDWORDS_STRESS") != "1",
     reason="rank-6 stress run; set REDWORDS_STRESS=1 to enable",

@@ -23,6 +23,7 @@ from redwords import (
     shortest_paths,
     super_tableau,
     super_word,
+    tab_inversions,
     to_dot,
     to_json,
     validate_ranked_poset,
@@ -298,7 +299,8 @@ def test_graph_from_json_rejects_unknown_model():
 
 def test_model_functions_are_looked_up_on_each_use(monkeypatch):
     """A function rebound in its defining module after import is the one
-    build_graph calls, as a profiler that wraps module functions needs."""
+    a graph calls on the first read of its ranks, as a profiler that wraps
+    module functions needs."""
     from redwords import words
 
     ranked = []
@@ -309,7 +311,52 @@ def test_model_functions_are_looked_up_on_each_use(monkeypatch):
 
     monkeypatch.setattr(words, "word_inversions", rank)
     g = build_graph(Permutation([3, 2, 1]), "words")
+    assert ranked == []  # no rank before the first read
+    g.ranks
     assert ranked == list(g.vertices)
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_ranks_are_computed_on_first_read_then_kept(monkeypatch, rank_calls, model):
+    """build_graph makes no rank call in either model.  The first read of
+    ``ranks`` calls the rank function bound at that read, once per vertex in
+    vertex order; a second read calls nothing."""
+    from redwords import tableaux, words
+
+    g = build_graph(Permutation([4, 2, 1, 5, 3]), model)
+    assert len(g.vertices) == 11 and rank_calls == []
+    module, rank = (words, word_inversions) if model == "words" else (tableaux, tab_inversions)
+    at_read = []
+    monkeypatch.setattr(module, rank.__name__, lambda e: at_read.append(e) or rank(e))
+    ranks = g.ranks
+    assert rank_calls == [] and at_read == list(g.vertices)
+    assert ranks == tuple(rank(v) for v in g.vertices)
+    assert g.ranks is ranks and at_read == list(g.vertices)
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_graph_from_json_keeps_the_payload_ranks(rank_calls, model):
+    """An import keeps the ranks it reads, edited ones too, and ranks
+    nothing; a built graph equals its own re-import."""
+    g = build_graph(Permutation([4, 2, 1, 5, 3]), model)
+    payload = json.loads(to_json(g))
+    rank_calls.clear()
+    payload["vertices"][3]["rank"] = 99
+    h = graph_from_json(json.dumps(payload))
+    expected = list(g.ranks)
+    expected[3] = 99
+    assert h.ranks == tuple(expected) and rank_calls == []
+    fresh = build_graph(Permutation([4, 2, 1, 5, 3]), model)
+    assert graph_from_json(to_json(fresh)) == fresh
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_exports_rank_each_vertex_once(rank_calls, model, fmt):
+    g = build_graph(Permutation([4, 3, 2, 1]), model)
+    text = export(g, fmt)
+    assert rank_calls == list(g.vertices)
+    assert export(g, fmt) == text and rank_calls == list(g.vertices)
 
 
 def test_lookup_model_rows(monkeypatch):

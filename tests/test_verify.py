@@ -524,7 +524,8 @@ def _assert_each_statistic_computed_once(monkeypatch, n):
     """Over run_suite(n), each function of STATISTICS sees each element
     once, except for the direct calls on the super tableau of
     ``tableau_super_balanced_rank_zero`` (tab_inversions, is_balanced) and
-    of ``w0_extremes`` (psi)."""
+    of ``w0_extremes`` (psi); the two rank functions see every vertex of
+    every graph."""
     seen = {name: Counter() for _, name in STATISTICS}
     for module, name in STATISTICS:
         honest, tally = getattr(module, name), seen[name]
@@ -542,6 +543,9 @@ def _assert_each_statistic_computed_once(monkeypatch, n):
         repeated = {e for e, count in seen[name].items() if count > 1}
         assert repeated <= allowed.get(name, set()), name
         assert max(seen[name].values()) <= 2, name
+    s_n = list(all_permutations(n))
+    assert seen["word_inversions"].keys() == {r for w in s_n for r in enumerate_reduced_words(w)}
+    assert seen["tab_inversions"].keys() == {t for w in s_n for t in enumerate_sbt(w)}
 
 
 def test_suite_computes_each_statistic_once_per_element(monkeypatch):
