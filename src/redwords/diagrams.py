@@ -295,9 +295,3 @@ def permutation_of_diagram(d: Diagram) -> Permutation:
     if rothe_diagram(w) != d:
         raise ValueError("cell set is not the diagram of a permutation")
     return w
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -147,9 +147,3 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         raise ValueError("rank must be positive")
     for entries in itertools.permutations(range(1, n + 1)):
         yield tuple.__new__(Permutation, entries)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

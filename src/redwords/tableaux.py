@@ -297,9 +297,3 @@ def min_inv_w0(n: int) -> int:
     if n < 1:
         raise ValueError("rank must be positive")
     return (n - 2) * (n - 1) * n * (3 * n - 5) // 24
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -1,19 +1,18 @@
 """Exhaustive brute-force verification over all of S_n.
 
 Every property checked is one of a single permutation w (and, for reversal
-and flip, of its inverse), so each check is a method of ``_Checks``, the
-context of one w, returning a counterexample detail or None.  ``CHECKS``
-names them in report order, looked up by name at each call.  The ``w0_``
+and flip, of its inverse), so each check is a public method of ``_Checks``,
+the context of one w, returning a counterexample detail or None; ``CHECKS``
+lists their names in definition order, the report order.  The ``w0_``
 checks run only at the longest permutation; ``yang_baxter_pairwise_scope``
 is a tally for n <= 4 that always passes.
 
 ``run_suite`` sweeps S_n once, one inversion orbit {w, w^-1} at a time from
-its lexicographically smaller member: it builds the orbit's move graphs as
-the checks first ask for them, runs every check on each member, and lets
-the graphs and their tables go before the next orbit's are built.  Each
-check reports its lexicographically first counterexample: a failure
-replaces one recorded at a larger permutation, and a check is not run past
-its recorded failure.
+its lexicographically smaller member.  ``_check_orbit`` builds the orbit's
+move graphs as the checks first ask for them, runs each check on w and, if
+it passed, on w^-1, and lets the graphs go when it returns the first
+failure per check and the scope tally; ``run_suite`` keeps the
+lexicographically first failure per check and sums the tallies.
 
 Six rules keep a run from doing the same work twice:
 
@@ -53,36 +52,6 @@ from . import bijection, diagrams, graphs, tableaux, words
 from .perms import Permutation, all_permutations
 from .report import CheckResult
 
-CHECKS = (
-    "perm_inverse_same_length",
-    "perm_longest_is_maximal",
-    "perm_swap_steps_length",
-    "word_super_exists_unique",
-    "word_moves_involutive_rank_step",
-    "word_inversions_equal_bfs_distance",
-    "word_pairing_identity_iff_super",
-    "word_reversal_inverts",
-    "naive_metric_agrees_at_super",
-    "yang_baxter_count_to_super",
-    "yang_baxter_pairwise_scope",
-    "diagram_shape_and_transpose",
-    "diagram_reading_word_is_super",
-    "tableau_super_balanced_rank_zero",
-    "tableau_moves_balanced_involutive",
-    "tableau_inversion_identity",
-    "tableau_inv_and_braids_by_bfs",
-    "tableau_row_sort_reconstruction",
-    "tableau_descent_sequence_counts",
-    "tableau_flip_involution_intertwines",
-    "word_and_tableau_counts_agree",
-    "bijection_poset_isomorphism",
-    "graph_connected_ranked",
-    "graph_models_isomorphic",
-    "w0_complement_reverses_rank",
-    "w0_diameter_formula",
-    "w0_distances_split_through_extremes",
-    "w0_count_matches_hook_formula",
-)
 
 
 def staircase_tableau_count(n: int) -> int:
@@ -112,12 +81,12 @@ def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
 def _poset_isomorphism(c: _Checks) -> list[CheckResult]:
     """``verify_poset_isomorphism`` on the graphs, matching and tables of
     the context ``c`` of w."""
-    w, gw, to_tab = c.w, c.word_graph, c.to_tab
+    w, gw, to_tab = c.w, c.word_graph, c._to_tab
     if to_tab is None:
         return [CheckResult("perm_matching_bijection", False, f"w={w}")]
-    rank_fail = None if c.rank_failure is None else f"w={w} word={c.rank_failure}"
-    edge_fail = c.edge_failure
-    flipped, inverse = c.table("flip"), c.orbit.graph(w.inverse(), "tableaux")
+    rank_fail = None if c._rank_failure is None else f"w={w} word={c._rank_failure}"
+    edge_fail = c._edge_failure
+    flipped, inverse = c._table("flip"), c.orbit.graph(w.inverse(), "tableaux")
     square_fail = next(
         (
             f"w={w} word={rho}"
@@ -143,7 +112,10 @@ def run_suite(n: int) -> list[CheckResult]:
     scope = [0, 0]  # pairs where the braid formula agrees, differs
     for w in all_permutations(n):
         if w <= w.inverse():
-            _check_orbit(w, n, failures, scope)
+            found, tally = _check_orbit(w, n)
+            for name, failure in found.items():
+                failures[name] = min(failures.get(name, failure), failure)
+            scope = [a + b for a, b in zip(scope, tally)]
     details = {name: detail for name, (_, detail) in failures.items()}
     details["yang_baxter_pairwise_scope"] = (
         f"formula matches the shortest-path braid count on {scope[0]} of "
@@ -155,21 +127,21 @@ def run_suite(n: int) -> list[CheckResult]:
     return [CheckResult(name, name not in failures, details.get(name)) for name in CHECKS]
 
 
-def _check_orbit(w: Permutation, n: int, failures: dict, scope: list[int]) -> None:
-    """Run the checks on w and its inverse, from one set of move graphs and
-    tables that is released on return."""
-    orbit = _Orbit()
+def _check_orbit(w: Permutation, n: int) -> tuple[dict[str, tuple[Permutation, str]], list[int]]:
+    """Run the checks on w and then its inverse, from one set of move graphs
+    and tables that is released on return; return each failing check's
+    first (member, detail) and the pair's scope tally."""
+    orbit, scope, found = _Orbit(), [0, 0], {}
     longest = Permutation.longest(n)
     for v in dict.fromkeys((w, w.inverse())):  # one member for an involution
         checks = _Checks(v, n, orbit, scope)
         for name in CHECKS:
-            if name.startswith("w0_") and v != longest:
-                continue
-            if name in failures and failures[name][0] < v:
+            if name in found or name.startswith("w0_") and v != longest:
                 continue
             detail = getattr(checks, name)()
             if detail is not None:
-                failures[name] = (v, detail)
+                found[name] = (v, detail)
+    return found, scope
 
 
 # The statistics whose values, elements of the inverse permutation, are listed as vertex indices.
@@ -242,40 +214,41 @@ def _first_bad_move(g: graphs.MoveGraph, valid: list, invalid: str):
 
 
 class _Checks:
-    """The checks of one permutation w of S_n, each a method that returns a
-    counterexample detail or None, on the move graphs of w's orbit."""
+    """The checks of one permutation w of S_n, on the move graphs of w's
+    orbit: each public method is a check that returns a counterexample
+    detail or None, in report order."""
 
     def __init__(self, w: Permutation, n: int, orbit: _Orbit, scope: list[int]):
         self.w, self.n, self.orbit, self.scope = w, n, orbit, scope
         self.word_graph, self.tableau_graph = orbit.graph(w, "words"), orbit.graph(w, "tableaux")
 
-    def table(self, name: str) -> list:
+    def _table(self, name: str) -> list:
         """The orbit's table of the statistic ``name`` on w's tableau graph."""
         return self.orbit.table(self.w, name)
 
-    def paths(self, model: str) -> tuple[list[int], list[int]]:
+    def _paths(self, model: str) -> tuple[list[int], list[int]]:
         """The orbit's distances and fewest braids from w's super element."""
         return self.orbit.paths(self.w, model)
 
     @functools.cached_property
-    def to_tab(self) -> list[int] | None:
+    def _to_tab(self) -> list[int] | None:
         """Per word vertex, the index of the tableau of the same permutation;
         None when that pairing is not a bijection."""
         return bijection.match_by_permutation(self.word_graph.vertices, self.tableau_graph.vertices)
 
     @functools.cached_property
-    def rank_failure(self) -> words.Word | None:
+    def _rank_failure(self) -> words.Word | None:
         """The first word, in word order, whose rank differs from its
         tableau's; None when there is none.  Needs the matching."""
         gw, ranks = self.word_graph, self.tableau_graph.ranks
-        return next((rho for rho, r, j in zip(gw.vertices, gw.ranks, self.to_tab) if r != ranks[j]), None)
+        return next((rho for rho, r, j in zip(gw.vertices, gw.ranks, self._to_tab) if r != ranks[j]), None)
 
     @functools.cached_property
-    def edge_failure(self) -> str | None:
+    def _edge_failure(self) -> str | None:
         """The first move, in word order, that the matching does not carry
         from a word to its tableau: the word table, mapped through the
         matching, must equal the tableau table.  Needs the matching."""
-        gw, gt, to_tab = self.word_graph, self.tableau_graph, self.to_tab
+        gw, gt, to_tab = self.word_graph, self.tableau_graph, self._to_tab
         moves = bijection.moves_for(self.w.length)
         for k, rho in enumerate(gw.vertices):
             for move, j, t in zip(moves, gw.images(k), gt.images(to_tab[k])):
@@ -284,11 +257,11 @@ class _Checks:
         return None
 
     @functools.cached_property
-    def w0_extremes(self) -> tuple[list[int], list[int], int]:
+    def _w0_extremes(self) -> tuple[list[int], list[int], int]:
         """Distances from the super tableau and from its complement, and the
         distance between the two."""
         bottom = tableaux.psi(diagrams.super_tableau(self.w))
-        dtop = self.paths("tableaux")[0]
+        dtop = self._paths("tableaux")[0]
         dbot, _ = graphs.shortest_paths(self.tableau_graph, bottom)
         return dtop, dbot, dtop[self.tableau_graph.index_of(bottom)]
 
@@ -337,7 +310,7 @@ class _Checks:
         return None if bad is None else f"w={w} rho={g.vertices[bad[0]]} {bad[1].label}: {bad[2]}"
 
     def word_inversions_equal_bfs_distance(self) -> str | None:
-        dist, _ = self.paths("words")
+        dist, _ = self._paths("words")
         for rho, d, r in zip(self.word_graph.vertices, dist, self.word_graph.ranks):
             if d != r:
                 return f"w={self.w} rho={rho}"
@@ -367,7 +340,7 @@ class _Checks:
 
     def yang_baxter_count_to_super(self) -> str | None:
         pi = words.super_word(self.w)
-        _, braids = self.paths("words")
+        _, braids = self._paths("words")
         for rho, b in zip(self.word_graph.vertices, braids):
             if words.yang_baxter_count(rho, pi) != b:
                 return f"w={self.w} rho={rho}"
@@ -416,7 +389,7 @@ class _Checks:
         return None
 
     def tableau_moves_balanced_involutive(self) -> str | None:
-        bad = _first_bad_move(self.tableau_graph, self.table("is_balanced"), "unbalanced image")
+        bad = _first_bad_move(self.tableau_graph, self._table("is_balanced"), "unbalanced image")
         return None if bad is None else f"w={self.w} {bad[1].label}: {bad[2]}"
 
     def tableau_inversion_identity(self) -> str | None:
@@ -426,8 +399,8 @@ class _Checks:
         return None
 
     def tableau_inv_and_braids_by_bfs(self) -> str | None:
-        g, (dist, braids) = self.tableau_graph, self.paths("tableaux")
-        for t, d, b, r, c in zip(g.vertices, dist, braids, g.ranks, self.table("column_inversions")):
+        g, (dist, braids) = self.tableau_graph, self._paths("tableaux")
+        for t, d, b, r, c in zip(g.vertices, dist, braids, g.ranks, self._table("column_inversions")):
             if d != r:
                 return f"w={self.w} tableau={t.to_text()}"
             if b != c:
@@ -445,7 +418,7 @@ class _Checks:
 
     def tableau_descent_sequence_counts(self) -> str | None:
         g = self.tableau_graph
-        for t, r, c in zip(g.vertices, g.ranks, self.table("column_inversions")):
+        for t, r, c in zip(g.vertices, g.ranks, self._table("column_inversions")):
             seq = bijection.descent_to_super(t)
             if len(seq) != r:
                 return f"w={self.w} tableau={t.to_text()}: length"
@@ -462,7 +435,7 @@ class _Checks:
         moves, ell = bijection.moves_for(w.length), w.length
         slot = {move.label: s for s, move in enumerate(moves)}
         partners = [slot[f"{m.kind}{ell - m.index + (m.kind == 'b')}"] for m in moves]
-        flipped = self.table("flip")
+        flipped = self._table("flip")
         back = self.orbit.table(w.inverse(), "flip")  # gi's flip map into g
         for k, t in enumerate(g.vertices):
             f = flipped[k]
@@ -493,7 +466,7 @@ class _Checks:
 
     def graph_connected_ranked(self) -> str | None:
         for model in graphs.MODELS:
-            dist, _ = self.paths(model)
+            dist, _ = self._paths(model)
             if -1 in dist:  # unreached from the super element
                 return f"w={self.w} {model}: disconnected"
             for res in graphs.validate_ranked_poset(self.orbit.graph(self.w, model)):
@@ -503,19 +476,19 @@ class _Checks:
 
     def graph_models_isomorphic(self) -> str | None:
         w = self.w
-        if self.to_tab is None:
+        if self._to_tab is None:
             return f"w={w}: no bijection"
-        if self.edge_failure is not None:
+        if self._edge_failure is not None:
             return f"w={w}: edge sets differ"
-        if self.rank_failure is not None:
-            return f"w={w}: rank mismatch at {self.rank_failure}"
+        if self._rank_failure is not None:
+            return f"w={w}: rank mismatch at {self._rank_failure}"
         return None
 
     # --- the longest permutation only ------------------------------------------
 
     def w0_complement_reverses_rank(self) -> str | None:
         expected = tableaux.min_inv_w0(self.n)
-        comp, rank = self.table("psi"), self.tableau_graph.ranks
+        comp, rank = self._table("psi"), self.tableau_graph.ranks
         for k, (t, c) in enumerate(zip(self.tableau_graph.vertices, comp)):
             if c < 0 or comp[c] != k:  # an image outside the graph, or not back
                 return f"tableau={t.to_text()}: not an involution"
@@ -528,12 +501,12 @@ class _Checks:
         diam = graphs.diameter(self.tableau_graph)
         if diam != expected:
             return f"diameter {diam} != {expected}"
-        if self.w0_extremes[2] != expected:
+        if self._w0_extremes[2] != expected:
             return "extremes do not attain the diameter"
         return None
 
     def w0_distances_split_through_extremes(self) -> str | None:
-        dtop, dbot, span = self.w0_extremes
+        dtop, dbot, span = self._w0_extremes
         for k, (up, down) in enumerate(zip(dtop, dbot)):
             if up + down != span:
                 return f"vertex {k}"
@@ -542,3 +515,6 @@ class _Checks:
     def w0_count_matches_hook_formula(self) -> str | None:
         n_w0, expected = len(self.word_graph.vertices), staircase_tableau_count(self.n)
         return None if n_w0 == expected else f"{n_w0} != {expected}"
+
+
+CHECKS = tuple(name for name in vars(_Checks) if not name.startswith("_"))

@@ -383,9 +383,3 @@ def naive_pair_inversions(rho: Word | Iterable[int], sigma: Word | Iterable[int]
         return u.length - sum(abs(rho[-i] - sigma[-j]) for i, j in enumerate(u, 1))
     u, displacement = _pair_displacement(rho, sigma)
     return u.length - displacement
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -28,7 +28,7 @@ from redwords import (
     words,
 )
 from redwords.cli import main
-from redwords.verify import _Orbit
+from redwords.verify import _check_orbit, _Orbit
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -254,18 +254,57 @@ def test_move_checks_examine_each_source(monkeypatch):
 def test_suite_reports_the_lexicographically_first_counterexample(monkeypatch):
     """3,1,4,2 is checked early, beside 2,4,1,3, the smaller member of its
     inverse pair; 2,4,3,1 is checked later but comes first in lexicographic
-    order, so its counterexample is the one reported."""
-    targets = set()
-    for entries in ([3, 1, 4, 2], [2, 4, 3, 1]):
-        w = Permutation(entries)
-        targets.add(next(r for r in enumerate_reduced_words(w) if r != super_word(w)))
+    order, so its counterexample is the one reported.  With faults on both
+    members of the pair {2,4,1,3, 3,1,4,2}, the smaller member's is."""
     honest = words.word_inversions
-    monkeypatch.setattr(
-        words, "word_inversions", lambda rho, *a, **k: honest(rho, *a, **k) + (rho in targets)
-    )
-    result = {r.name: r for r in run_suite(4)}["word_inversions_equal_bfs_distance"]
-    assert not result.passed
-    assert result.detail == "w=2,4,3,1 rho=2,3,2,1"
+    for faulty, detail in (
+        (([3, 1, 4, 2], [2, 4, 3, 1]), "w=2,4,3,1 rho=2,3,2,1"),
+        (([3, 1, 4, 2], [2, 4, 1, 3]), "w=2,4,1,3 rho=2,1,3"),
+    ):
+        targets = set()
+        for entries in faulty:
+            w = Permutation(entries)
+            targets.add(next(r for r in enumerate_reduced_words(w) if r != super_word(w)))
+        monkeypatch.setattr(
+            words, "word_inversions", lambda rho, *a, **k: honest(rho, *a, **k) + (rho in targets)
+        )
+        result = {r.name: r for r in run_suite(4)}["word_inversions_equal_bfs_distance"]
+        assert not result.passed
+        assert result.detail == detail
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["honest", "faulty"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_suite_is_the_fold_of_its_inverse_pairs(monkeypatch, n, faulty):
+    """run_suite(n) reports, per check, the failure at the smallest
+    permutation among those that ``_check_orbit`` returns over the inverse
+    pairs, and the sum of their scope tallies; a pair checked twice gives
+    the same result.  The fault ranks every word starting with the letter 1
+    one too high, so several checks fail, on many pairs, some only on the
+    larger member."""
+    if faulty:
+        honest = words.word_inversions
+        monkeypatch.setattr(
+            words, "word_inversions", lambda rho, *a, **k: honest(rho, *a, **k) + (rho[:1] == (1,))
+        )
+    pairs = [w for w in all_permutations(n) if w <= w.inverse()]
+    checked = [_check_orbit(w, n) for w in pairs]
+    assert checked == [_check_orbit(w, n) for w in pairs]
+    failed = {}
+    for found, _ in checked:
+        for name, failure in found.items():
+            failed.setdefault(name, []).append(failure)
+    agree, differ = (sum(tally[i] for _, tally in checked) for i in (0, 1))
+    for result in run_suite(n):
+        if result.name == "yang_baxter_pairwise_scope":
+            assert result.passed
+            assert f" {agree} of {agree + differ} pairs; {differ} arbitrary " in result.detail
+        elif result.name in failed:
+            assert not result.passed
+            assert result.detail == min(failed[result.name])[1]
+        else:
+            assert result.passed and result.detail is None
+    assert bool(failed) == (faulty and n > 1)
 
 
 def test_suite_builds_each_graph_once_and_holds_one_inverse_pair(monkeypatch):
@@ -524,7 +563,7 @@ def _assert_each_statistic_computed_once(monkeypatch, n):
     """Over run_suite(n), each function of STATISTICS sees each element
     once, except for the direct calls on the super tableau of
     ``tableau_super_balanced_rank_zero`` (tab_inversions, is_balanced) and
-    of ``w0_extremes`` (psi); the two rank functions see every vertex of
+    of ``_w0_extremes`` (psi); the two rank functions see every vertex of
     every graph."""
     seen = {name: Counter() for _, name in STATISTICS}
     for module, name in STATISTICS:
@@ -619,9 +658,8 @@ def test_w0_orbit_at_rank_6_passes_under_400_mb_stress():
         "import resource\n"
         "from redwords import Permutation\n"
         "from redwords.verify import _check_orbit\n"
-        "failures = {}\n"
-        "_check_orbit(Permutation.longest(6), 6, failures, [0, 0])\n"
-        "assert not failures, failures\n"
+        "found, _ = _check_orbit(Permutation.longest(6), 6)\n"
+        "assert not found, found\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     src = os.path.dirname(os.path.dirname(redwords.__file__))
