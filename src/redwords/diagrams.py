@@ -5,10 +5,11 @@ so "above" always means a strictly larger row index.  This is the opposite
 of English Young-tableau habits; every formula here assumes it.
 
 ``Diagram(...)``, ``Filling(...)`` and their ``from_text`` validate every
-input.  Values the package derives from valid ones are built unchecked: the
-Rothe diagram and a filling's with ``object.__new__(Diagram)``, a decoded
-permutation with ``tuple.__new__``, fillings (moves, enumeration, flip,
-complement, super, row-interval and reconstructed fillings) with
+input; ``from_text`` reads through ``perms._read_ints``, the package's one
+text reader.  Values the package derives from valid ones are built
+unchecked: the Rothe diagram and a filling's with ``object.__new__(Diagram)``,
+a decoded permutation with ``tuple.__new__``, fillings (moves, enumeration,
+flip, complement, super, row-interval and reconstructed fillings) with
 ``_filling(cells, entries)``; use that form only where the cells are
 distinct, positive and in row-major order, and the entries positive, by
 construction.
@@ -19,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect
 from typing import Iterable, Mapping
 
-from .perms import Permutation
+from .perms import Permutation, _read_ints
 from .words import Word
 
 Cell = tuple[int, int]
@@ -62,15 +63,6 @@ class Diagram:
             out.setdefault(r, []).append(c)
         return out
 
-    def columns(self) -> dict[int, list[int]]:
-        """Occupied columns: column index -> sorted row list."""
-        out: dict[int, list[int]] = {}
-        for r, c in self.cells:
-            out.setdefault(c, []).append(r)
-        for rows in out.values():
-            rows.sort()
-        return out
-
     def transpose(self) -> "Diagram":
         return Diagram((c, r) for r, c in self.cells)
 
@@ -80,19 +72,7 @@ class Diagram:
 
     @classmethod
     def from_text(cls, text: str) -> "Diagram":
-        text = text.strip()
-        if not text:
-            return cls()
-        cells = []
-        for chunk in text.split(";"):
-            parts = chunk.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"malformed cell {chunk!r}")
-            try:
-                cells.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ValueError(f"malformed diagram text: {text!r}") from None
-        return cls(cells)
+        return cls(_read_ints(text, "diagram", 2))
 
 
 class Filling:
@@ -165,19 +145,7 @@ class Filling:
 
     @classmethod
     def from_text(cls, text: str) -> "Filling":
-        text = text.strip()
-        if not text:
-            return cls({})
-        items = []
-        for chunk in text.split(";"):
-            parts = chunk.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"malformed filling cell {chunk!r}")
-            try:
-                items.append(((int(parts[0]), int(parts[1])), int(parts[2])))
-            except ValueError:
-                raise ValueError(f"malformed filling text: {text!r}") from None
-        return cls(items)
+        return cls(((r, c), e) for r, c, e in _read_ints(text, "filling", 3))
 
     def render(self) -> str:
         """Multi-line picture, rows top to bottom with aligned columns.
@@ -241,13 +209,11 @@ def is_rothe_diagram(d: Diagram | Iterable[Cell]) -> bool:
     interval from the bottom up, starting with c at the bottom of column c."""
     d = d if isinstance(d, Diagram) else Diagram(d)
     filling = row_interval_filling(d)
-    by_cell = dict(zip(filling.cells, filling.entries))
-    for c, rows in d.columns().items():
-        entries = [by_cell[(r, c)] for r in rows]
-        if entries[0] != c:
+    last: dict[int, int] = {}  # column -> its entry read last, bottom up
+    for (_, c), e in zip(filling.cells, filling.entries):  # row-major
+        if e != last.get(c, c - 1) + 1:
             return False
-        if any(b - a != 1 for a, b in zip(entries, entries[1:])):
-            return False
+        last[c] = e
     return True
 
 

@@ -5,10 +5,11 @@ permutation ``p`` is applied as ``p(i)`` rather than ``p[i-1]``; the tuple
 storage is an implementation detail.  The empty tuple is the permutation
 of rank 0, S_0's one element: the pairing permutation of the empty word.
 
-``Permutation(...)`` and ``from_text`` validate every input.  Values the
-package derives from valid ones (swap, inverse, product) are built unchecked
-with ``tuple.__new__(Permutation, entries)``; use that form only where the
-entries are a bijection on 1..n by construction.
+``_read_ints`` is the package's one text reader: every ``from_text`` reads
+through it.  ``Permutation(...)`` and ``from_text`` validate every input.
+Values the package derives from valid ones (swap, inverse, product) are
+built unchecked with ``tuple.__new__(Permutation, entries)``; use that form
+only where the entries are a bijection on 1..n by construction.
 """
 
 from __future__ import annotations
@@ -28,6 +29,25 @@ def _inversions(values: Iterable[int]) -> int:
         count += len(seen) - at
         seen.insert(at, x)
     return count
+
+
+def _read_ints(text: str, what: str, width: int = 0) -> list:
+    """The integers of ``text``, stripped; blank text has none.  Width 0
+    reads one comma-separated list, any other width ``;``-separated groups
+    of exactly that many.  Each error names ``what`` was being read."""
+    text = text.strip()
+    if not text:
+        return []
+    groups = []
+    for group in text.split(";") if width else [text]:
+        parts = group.split(",")
+        if width and len(parts) != width:
+            raise ValueError(f"malformed {what} cell {group!r}")
+        try:
+            groups.append([int(part) for part in parts])
+        except ValueError:
+            raise ValueError(f"malformed {what} text: {text!r}") from None
+    return groups if width else groups[0]
 
 
 class Permutation(tuple):
@@ -73,11 +93,7 @@ class Permutation(tuple):
         Values may exceed 9, so a bare digit string is not accepted.  The
         empty string is the permutation of rank 0.
         """
-        try:
-            entries = [int(part) for part in text.split(",")] if text.strip() else []
-        except ValueError:
-            raise ValueError(f"malformed permutation text: {text!r}") from None
-        return cls(entries)
+        return cls(_read_ints(text, "permutation"))
 
     @property
     def n(self) -> int:

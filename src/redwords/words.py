@@ -28,7 +28,7 @@ from bisect import bisect
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .perms import Permutation, _inversions
+from .perms import Permutation, _inversions, _read_ints
 
 
 class Word(tuple):
@@ -54,13 +54,10 @@ class Word(tuple):
     @classmethod
     def from_text(cls, text: str) -> "Word":
         """Parse comma-separated letters; the empty string is the empty word."""
-        text = text.strip()
-        if not text:
-            return cls()
         try:
-            return cls(int(part) for part in text.split(","))
-        except ValueError:
-            raise ValueError(f"malformed word text: {text!r}") from None
+            return cls(_read_ints(text, "word"))
+        except ValueError:  # a letter below 1 too
+            raise ValueError(f"malformed word text: {text.strip()!r}") from None
 
     def letter(self, i: int) -> int:
         """Letter at right-to-left index i (i = 1 is the rightmost letter)."""

@@ -94,10 +94,34 @@ def test_reading_word_is_super_exhaustive(n):
 
 
 def test_is_rothe_diagram():
-    for w in all_permutations(4):
-        assert is_rothe_diagram(rothe_diagram(w))
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            assert is_rothe_diagram(rothe_diagram(w)), w
     assert not is_rothe_diagram(Diagram([(1, 2)]))
     assert is_rothe_diagram(Diagram())
+
+
+def _columns_are_intervals(d):
+    """The column rule, read column by column: under the row-interval
+    filling each column reads c, c+1, ... from the bottom up."""
+    f = row_interval_filling(d)
+    by_cell = dict(zip(f.cells, f.entries))
+    for c in {c for _, c in d.cells}:
+        entries = [by_cell[cell] for cell in d.cells if cell[1] == c]
+        if entries != list(range(c, c + len(entries))):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 4), (4, 3)])
+def test_is_rothe_diagram_agrees_with_the_column_rule_on_every_subset(rows, cols):
+    grid = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    accepted = 0
+    for mask in range(1 << len(grid)):
+        d = Diagram(cell for k, cell in enumerate(grid) if mask >> k & 1)
+        assert is_rothe_diagram(d) == _columns_are_intervals(d), d
+        accepted += is_rothe_diagram(d)
+    assert accepted == 136
 
 
 def test_super_tableau_examples():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redwords import Permutation, all_permutations
+from redwords import Diagram, Filling, Permutation, Word, all_permutations
 from redwords.perms import _inversions
 
 perm_strategy = st.integers(1, 6).flatmap(
@@ -198,3 +198,41 @@ def test_swap_steps_length(entries, data):
         return
     i = data.draw(st.integers(1, p.n - 1))
     assert abs(p.swap(i).length - p.length) == 1
+
+
+TEXT_FORMS = [
+    (Permutation, "permutation", Permutation([4, 2, 1, 5, 3])),
+    (Word, "word", Word([1, 4, 2, 3, 1])),
+    (Diagram, "diagram", Diagram([(1, 1), (1, 2), (2, 1), (4, 3)])),
+    (Filling, "filling", Filling({(1, 1): 3, (1, 2): 2, (4, 3): 5})),
+]
+
+
+@pytest.mark.parametrize("cls,what,element", TEXT_FORMS)
+def test_every_text_form_is_read_by_one_reader(cls, what, element):
+    text = element.to_text() if hasattr(element, "to_text") else str(element)
+    assert cls.from_text(text) == element
+    assert cls.from_text(f"  {text}\n") == element
+    empty = cls.from_text("")
+    assert len(empty) == 0
+    assert cls.from_text(" \t\n") == empty
+    bad = text[: text.rindex(",") + 1] + "x"
+    with pytest.raises(ValueError) as exc:
+        cls.from_text(f" {bad} ")
+    assert str(exc.value) == f"malformed {what} text: {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "cls,what,good", [(Diagram, "diagram", "1,1"), (Filling, "filling", "1,1,1")]
+)
+def test_a_group_of_the_wrong_width_names_its_type(cls, what, good):
+    for group in ("1", "1,2,3,4"):
+        with pytest.raises(ValueError) as exc:
+            cls.from_text(f"{good};{group}")
+        assert str(exc.value) == f"malformed {what} cell {group!r}"
+
+
+def test_a_letter_below_one_is_malformed_word_text():
+    with pytest.raises(ValueError) as exc:
+        Word.from_text(" 0 ")
+    assert str(exc.value) == "malformed word text: '0'"
