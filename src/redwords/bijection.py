@@ -7,8 +7,8 @@ Both directions are the Edelman–Greene labelling ("Balanced tableaux",
 word's k-th swap creates, in its cell of the Rothe diagram.  A word is
 labelled from its replay, ``words._replay``, whose swaps listed row by row
 are its pairing permutation; a tableau is read by making its swaps in entry
-order, which succeeds exactly when it is balanced.  The empty word and the
-empty tableau match like any other pair.
+order, which reaches the permutation its row sizes decode to exactly when it
+is balanced.  The empty word and the empty tableau match like any other pair.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .diagrams import Filling, _filling, permutation_of_diagram
+from .diagrams import Filling, _decode_rows, _filling, permutation_of_diagram
 from .tableaux import _braidable, _check_standard, tab_braid, tab_commutation, tab_permutation
 from .words import Word, _as_word, _replay, braid_move, commutation_move, pairing_permutation
 from .words import super_word  # unused here; perfbench's tracer patches bijection.super_word
@@ -111,33 +111,37 @@ def word_to_tableau(word: Word) -> Filling:
     '1,1,3;1,2,5;1,3,2;2,1,1;4,3,4'
     """
     w, created = _replay(_as_word(word))
-    row = w.inverse()  # value y's position in w, at y - 1
-    cells = sorted(((row[y - 1], x), k) for k, (y, x) in enumerate(created, 1))
-    return _filling(tuple(c for c, _ in cells), tuple(k for _, k in cells))
+    row, n = w.inverse(), len(w)  # value y's position in w, at y - 1
+    cells = [(row[y - 1], x) for y, x in created]  # entry k's cell, at k - 1
+    order = sorted(range(len(cells)), key=[r * n + x for r, x in cells].__getitem__)  # x < n
+    return _filling(tuple(map(cells.__getitem__, order)), tuple(k + 1 for k in order))
 
 
 def tableau_to_word(f: Filling) -> Word:
     """The unique reduced word whose tableau is f: the inverse labelling.
 
-    Entry k in the Rothe cell (i, x) of w is the swap that puts the values
-    x < w(i) out of order.  The swaps are made in entry order from the
-    identity; each must find w(i) just right of x, and swap k's letter is
-    x's position.  Only a balanced tableau passes every step.
+    Entry k in the Rothe cell (i, x) of w is the swap that puts x < w(i) out
+    of order.  From the identity, with w decoded from f's row sizes, entry k
+    must be k and swap k must find w(i) just right of x; its letter is x's
+    position.  Passing every step certifies the cells: the replay reaches w.
 
     >>> str(tableau_to_word(Filling.from_text("1,1,3;1,2,5;1,3,2;2,1,1;4,3,4")))
     '1,4,2,3,1'
     """
-    w = permutation_of_diagram(f.diagram)
-    _check_standard(f)
+    w = _decode_rows(f.cells)
     pos = list(range(len(w) + 1))  # value -> position, from the identity
     letters = []
-    for _, (i, x) in sorted(zip(f.entries, f.cells)):  # in entry order
-        p, y = pos[x], w[i - 1]
-        if pos[y] != p + 1:
-            raise ValueError(f"tableau is not balanced: {f.to_text()}")
-        pos[x], pos[y] = p + 1, p
-        letters.append(p)
-    return tuple.__new__(Word, letters[::-1])
+    for k, (e, (i, x)) in enumerate(sorted(zip(f.entries, f.cells)), 1):  # in entry order
+        y = w[i - 1]
+        if e != k or not x < y or pos[y] != pos[x] + 1:
+            break
+        pos[x], pos[y] = pos[y], pos[x]
+        letters.append(pos[y])
+    else:  # w(i) got one smaller value on its right per cell of row i, as in w: the replay is at w
+        return tuple.__new__(Word, letters[::-1])
+    permutation_of_diagram(f.diagram)  # a refusal names the Rothe test first, then the standard check
+    _check_standard(f)
+    raise ValueError(f"tableau is not balanced: {f.to_text()}")
 
 
 def match_by_permutation(words: Sequence[Word], tableaux: Sequence[Filling]) -> list[int] | None:

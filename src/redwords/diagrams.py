@@ -18,6 +18,7 @@ construction.
 from __future__ import annotations
 
 from bisect import bisect
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .perms import Permutation, _read_ints
@@ -244,20 +245,19 @@ def super_tableau(w: Permutation) -> Filling:
     return _filling(d.cells, tuple(entries))
 
 
+def _decode_rows(cells: Iterable[Cell]) -> Permutation:
+    """The one permutation whose inversion table is the cells' row sizes."""
+    sizes = Counter(r for r, _ in cells)
+    n = max((r + k for r, k in sizes.items()), default=1)  # row r's k cells need r + k <= n
+    available = list(range(n, 0, -1))  # falling, so taking the c-th smallest moves c values
+    return tuple.__new__(Permutation, [available.pop(-1 - sizes[r]) for r in range(1, n + 1)])
+
+
 def permutation_of_diagram(d: Diagram) -> Permutation:
     """The permutation whose Rothe diagram this is, with no trailing fixed
-    points beyond the occupied rows.
-
-    Decodes the row sizes as an inversion table and verifies the resulting
-    diagram matches, so non-Rothe cell sets are rejected.
-    """
-    rows = d.rows()
-    # rank must fit the inversion table: row r with k cells forces r + k <= n,
-    # so row r's k cells leave k < n - r + 1 values to choose from
-    n = max((r + len(cols) for r, cols in rows.items()), default=1)
-    available = list(range(n, 0, -1))  # falling, so taking the c-th smallest moves c values
-    entries = [available.pop(-1 - len(rows.get(r, ()))) for r in range(1, n + 1)]
-    w = tuple.__new__(Permutation, entries)  # a bijection on 1..n by construction
+    points beyond the occupied rows: the row sizes decoded as an inversion
+    table, kept only if its diagram is d, so non-Rothe cell sets are rejected."""
+    w = _decode_rows(d.cells)
     if rothe_diagram(w) != d:
         raise ValueError("cell set is not the diagram of a permutation")
     return w

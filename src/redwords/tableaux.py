@@ -160,17 +160,17 @@ def inversion_pairs(f: Filling) -> list[tuple[int, int]]:
     ]
 
 
-def _entry_rows(f: Filling) -> tuple[list[int], Iterable[list[int]]]:
-    """The rows of the entries 1..ell in entry order, and the same rows split
-    by column.  An entry missing from 1..ell is a ``KeyError``."""
-    if len(f) < 2:  # no pair, so no entry is looked up
-        return [], []
-    pos = f.positions()
-    rows, columns = [], {}
-    for v in range(1, len(f) + 1):
-        r, c = pos[v]
-        rows.append(r)
-        columns.setdefault(c, []).append(r)
+def _rows_and_columns(f: Filling) -> tuple[list[int], Iterable[list[int]]]:
+    """The rows of the entries 1..ell in entry order, and each column's entries
+    bottom up, in one pass over the cells.  A missing entry is a ``KeyError``."""
+    ell = len(f)
+    rows, columns = [0] * ell, {}
+    for (r, c), e in zip(f.cells, f.entries):
+        if e <= ell:
+            rows[e - 1] = r
+        columns.setdefault(c, []).append(e)
+    if ell > 1 and 0 in rows:  # a pair would look the entry up
+        raise KeyError(rows.index(0) + 1)
     return rows, columns.values()
 
 
@@ -184,14 +184,14 @@ def tab_inversions(f: Filling) -> int:
     The pairs of ``inversion_pairs`` are the inversions of the rows read in
     entry order, less those within a column.
     """
-    rows, columns = _entry_rows(f)
+    rows, columns = _rows_and_columns(f)
     return _inversions(rows) - sum(map(_inversions, columns))
 
 
 def column_inversions(f: Filling) -> int:
     """Pairs i < j with i strictly above j in the same column; counts the
     Yang-Baxter moves on any minimal path to the super tableau."""
-    return sum(map(_inversions, _entry_rows(f)[1]))
+    return sum(map(_inversions, _rows_and_columns(f)[1]))
 
 
 def tab_permutation(f: Filling) -> Permutation:

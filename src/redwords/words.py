@@ -93,11 +93,14 @@ def word_to_permutation(word: Word | Iterable[int], n: int | None = None) -> Per
     '4,2,1,5,3'
     """
     word = _as_word(word)
-    rank = n if n is not None else max(word, default=0) + 1
-    if word and max(word) >= rank:
-        raise ValueError(f"letter {max(word)} out of range for rank {rank}")
-    v = list(Permutation.identity(rank))
-    for letter in reversed(word):
+    top = max(word, default=0)
+    rank = n if n is not None else top + 1
+    if word and top >= rank:
+        raise ValueError(f"letter {top} out of range for rank {rank}")
+    if rank < 0:
+        raise ValueError(f"rank must be non-negative, not {rank}")
+    v = list(range(1, rank + 1))
+    for letter in word[::-1]:
         v[letter - 1], v[letter] = v[letter], v[letter - 1]
     return tuple.__new__(Permutation, v)
 

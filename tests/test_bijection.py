@@ -1,5 +1,7 @@
+import os
 import random
 import re
+from itertools import combinations
 from itertools import permutations as itertools_permutations
 
 import pytest
@@ -231,13 +233,114 @@ def test_tableau_to_word_matches_reference_on_every_standard_filling():
         ({(1, 1): 1, (2, 1): 1}, "entries are not a bijection onto 1..2"),
         ({(1, 1): 2}, "entries are not a bijection onto 1..1"),
         ({(1, 2): 1}, "cell set is not the diagram of a permutation"),
+        ({(1, 3): 1}, "cell set is not the diagram of a permutation"),
         ({(1, 1): 1, (1, 2): 2}, "tableau is not balanced: 1,1,1;1,2,2"),
     ],
-    ids=["entry_twice", "entry_out_of_range", "not_rothe", "unbalanced"],
+    ids=["entry_twice", "entry_out_of_range", "not_rothe", "column_past_the_rank", "unbalanced"],
 )
 def test_tableau_to_word_refuses_fillings_that_are_not_balanced_tableaux(entries, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tableau_to_word(Filling(entries))
+
+
+def _replay_after_checks(f):
+    """The inverse labelling with its checks made first: the Rothe test by
+    re-drawing the decoded permutation's diagram, then the standard check,
+    then the replay.  Its refusal messages, in this order, are the contract
+    ``tableau_to_word`` keeps."""
+    rows = f.diagram.rows()
+    n = max((r + len(cols) for r, cols in rows.items()), default=1)
+    available = list(range(n, 0, -1))
+    w = Permutation([available.pop(-1 - len(rows.get(r, ()))) for r in range(1, n + 1)])
+    if rothe_diagram(w) != f.diagram:
+        raise ValueError("cell set is not the diagram of a permutation")
+    if sorted(f.entries) != list(range(1, len(f) + 1)):
+        raise ValueError(f"entries are not a bijection onto 1..{len(f)}")
+    pos = list(range(n + 1))
+    letters = []
+    for _, (i, x) in sorted(zip(f.entries, f.cells)):
+        p, y = pos[x], w[i - 1]
+        if pos[y] != p + 1:
+            raise ValueError(f"tableau is not balanced: {f.to_text()}")
+        pos[x], pos[y] = p + 1, p
+        letters.append(p)
+    return Word(letters[::-1])
+
+
+def _word_or_message(f, read=tableau_to_word):
+    try:
+        return read(f)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _corruptions(t, rng):
+    """t with one entry given twice, with one cell moved off the diagram,
+    and with two entries of one row exchanged."""
+    cells, entries = list(t.cells), list(t.entries)
+    k, j = rng.sample(range(len(cells)), 2)
+    yield Filling(zip(cells, entries[:k] + [entries[j]] + entries[k + 1 :]))
+    top = max(max(cell) for cell in cells) + 1
+    off = rng.choice([(r, c) for r in range(1, top + 1) for c in range(1, top + 1) if (r, c) not in t.diagram])
+    yield Filling(zip(cells[:k] + [off] + cells[k + 1 :], entries))
+    row = rng.choice([r for r, cols in t.diagram.rows().items() if len(cols) > 1])
+    a, b = rng.sample([m for m, (r, _) in enumerate(cells) if r == row], 2)
+    entries[a], entries[b] = entries[b], entries[a]
+    yield Filling(zip(cells, entries))
+
+
+def test_tableau_to_word_refuses_corrupted_long_tableaux_with_the_checks_messages():
+    """Past rank 6, each corruption of a seeded tableau is refused with the
+    message that the separate checks give."""
+    rng = random.Random(29)
+    refused = {"entries": 0, "cell": 0, "tableau": 0}  # by first word
+    for n in range(7, 15):
+        for _ in range(3):
+            t = word_to_tableau(random_reduced_word(rng, n))
+            assert _word_or_message(t) == _replay_after_checks(t)
+            for f in _corruptions(t, rng):
+                outcome = _word_or_message(f)
+                assert outcome == _word_or_message(f, _replay_after_checks)
+                if isinstance(outcome, str):
+                    refused[outcome.split()[0]] += 1
+    assert refused == {"entries": 24, "cell": 24, "tableau": 24}  # one per corruption
+
+
+def test_tableau_to_word_equals_the_checked_replay_on_every_small_cell_set():
+    """Every standard filling of every set of at most 4 cells in the 3x3
+    grid, Rothe or not: among them row sizes that decode to a permutation
+    whose replay would undo an inversion, as on the cells (1,3), (2,2)."""
+    grid = [(r, c) for r in range(1, 4) for c in range(1, 4)]
+    tally = {Word: 0, str: 0}
+    for size in range(5):
+        for cells in combinations(grid, size):
+            for values in itertools_permutations(range(1, size + 1)):
+                f = Filling(zip(cells, values))
+                outcome = _word_or_message(f)
+                assert outcome == _word_or_message(f, _replay_after_checks)
+                tally[type(outcome)] += 1
+    assert tally == {Word: 36, str: 3574}  # 3,610 fillings
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="S_5 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_tableau_to_word_equals_the_checked_replay_on_every_s5_filling_stress():
+    """Every standard filling of every Rothe diagram of S_5 with at most 8
+    cells: the same word or the same refusal as the separate checks."""
+    tally = {Word: 0, str: 0}
+    for w in all_permutations(5):
+        cells = rothe_diagram(w).cells
+        if len(cells) > 8:
+            continue
+        for values in itertools_permutations(range(1, len(cells) + 1)):
+            f = Filling(zip(cells, values))
+            outcome = _word_or_message(f)
+            assert outcome == _word_or_message(f, _replay_after_checks)
+            tally[type(outcome)] += 1
+    assert sum(tally.values()) == 456_113
+    assert tally[Word] == sum(len(enumerate_reduced_words(w)) for w in all_permutations(5) if w.length <= 8)
 
 
 def _reference_word_to_tableau(word):

@@ -54,6 +54,10 @@ def test_word_to_permutation():
     assert word_to_permutation(RHO, 8) == W8
     with pytest.raises(ValueError):
         word_to_permutation(Word([3]), 3)
+    with pytest.raises(ValueError, match="^letter 3 out of range for rank -1$"):
+        word_to_permutation(Word([3]), -1)
+    with pytest.raises(ValueError, match="^rank must be non-negative, not -1$"):
+        word_to_permutation(Word(), -1)
 
 
 def test_is_reduced():
