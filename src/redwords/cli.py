@@ -79,12 +79,9 @@ def _read_tableau(path: str) -> Filling:
             f"tableau in {path} has a cell in row or column {far}, "
             f"over the limit of {DEFAULT_VERTEX_BUDGET}"
         )
-    try:
-        tableau_to_word(filling)  # linear in the cells; the checks below only name a refusal
-    except ValueError:
-        if not is_balanced(filling):
-            raise ValueError(f"tableau in {path} is not balanced")
-        permutation_of_diagram(filling.diagram)  # rejects non-Rothe shapes
+    if not is_balanced(filling):
+        raise ValueError(f"tableau in {path} is not balanced")
+    permutation_of_diagram(filling.diagram)  # rejects non-Rothe shapes
     return filling
 
 

@@ -34,23 +34,25 @@ def _check_standard(f: Filling) -> None:
 def is_balanced(f: Filling) -> bool:
     """Balance check at every cell.  Rejects non-bijective fillings.
 
+    One walk backwards over the row-major cells: rows top down, each right
+    to left, so a cell's row entries to its right and column entries above
+    it are all seen before it.  Two sorted lists hold them, the current
+    row's (reset at each new row) and each column's, and each count is a
+    bisection.
+
     >>> is_balanced(Filling({(1, 1): 3, (1, 2): 5, (1, 3): 2, (2, 1): 1, (4, 3): 4}))
     True
     """
     _check_standard(f)
-    rows, columns = f.rows(), {}  # each cell is compared only with these
-    for (r, c), e in zip(f.cells, f.entries):
-        columns.setdefault(c, []).append((r, e))
-    for (r, c), e in zip(f.cells, f.entries):
-        surplus = 0  # larger entries right of the cell minus smaller ones above it
-        for c2, e2 in rows[r]:
-            if c2 > c and e2 > e:
-                surplus += 1
-        for r2, e2 in columns[c]:
-            if r2 > r and e2 < e:
-                surplus -= 1
-        if surplus:
-            return False
+    row, right, above = 0, [], {}  # above: column -> its entries seen, sorted
+    for (r, c), e in zip(reversed(f.cells), reversed(f.entries)):
+        if r != row:
+            row, right = r, []
+        column = above.setdefault(c, [])
+        if len(right) - bisect_left(right, e) != bisect_left(column, e):
+            return False  # larger entries to the right differ from smaller ones above
+        insort(right, e)
+        insort(column, e)
     return True
 
 

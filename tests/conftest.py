@@ -2,7 +2,8 @@
 and their tableau counterparts, transcribed as letter tuples / cell fillings,
 plus small graph-search oracles that are independent of the library's graph
 code, the paper's pairing scan as a reference for the pairing
-permutation, and a plain depth-first enumeration of reduced words."""
+permutation, a plain depth-first enumeration of reduced words, and the
+balance check cell against cell."""
 
 from collections import defaultdict, deque
 from typing import Iterator
@@ -234,6 +235,17 @@ def reference_pairing(word: Word) -> tuple[Permutation, Permutation, int]:
         # entries placed so far sit right of i; those of later slots are smaller
         inversions += ell - 1 - slot - (len(slots) - p)
     return Permutation(out), w, inversions
+
+
+def reference_is_balanced(f):
+    """The balance check cell against cell, O(ell^2) per filling."""
+    items = f.items()
+    for (r, c), e in items:
+        right_greater = sum(1 for (r2, c2), e2 in items if r2 == r and c2 > c and e2 > e)
+        above_smaller = sum(1 for (r2, c2), e2 in items if c2 == c and r2 > r and e2 < e)
+        if right_greater != above_smaller:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

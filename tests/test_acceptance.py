@@ -40,6 +40,8 @@ from redwords import (
     yang_baxter_count,
 )
 
+from redwords.cli import main
+
 from conftest import TABLEAU_GRID_42153, WORD_GRID_42153, tableau_42153
 
 
@@ -188,3 +190,24 @@ def test_criterion_9_hook_length_oracle():
         assert hook_count(staircase) == expected
         assert len(enumerate_reduced_words(Permutation.longest(n))) == expected
     clock.done("9 (word counts match the hook length formula)")
+
+
+def test_tableau_file_of_rank_400_is_read_either_way_in_linear_time(tmp_path, capsys):
+    """The staircase super tableau of rank 400 (79,800 cells) is accepted,
+    and a copy with the two entries of row 398 exchanged is refused as
+    unbalanced by the balance check, which each read runs before the Rothe
+    test."""
+    t = super_tableau(Permutation.longest(400))
+    entries = list(t.entries)
+    a, b = (k for k, (r, _) in enumerate(t.cells) if r == 398)
+    entries[a], entries[b] = entries[b], entries[a]
+    good, bad = tmp_path / "staircase.txt", tmp_path / "exchanged.txt"
+    good.write_text(t.to_text() + "\n")
+    bad.write_text(Filling(zip(t.cells, entries)).to_text() + "\n")
+    clock = Stopwatch(2.5)
+    assert main(["inv", "--tableau", str(good)]) == 0
+    assert main(["inv", "--tableau", str(bad)]) == 1
+    out, err = capsys.readouterr()  # before the PASS line, which pytest -s shows
+    clock.done("tableau file of rank 400, accepted and refused")
+    assert out.startswith("inversions: 0\n")
+    assert err == f"redwords: error: tableau in {bad} is not balanced\n"

@@ -45,6 +45,7 @@ from conftest import (
     grid_edges,
     oracle_distance,
     random_reduced_word,
+    reference_is_balanced,
     reference_pairing,
     tableau_42153,
     tableau_4321,
@@ -291,16 +292,22 @@ def _corruptions(t, rng):
 
 def test_tableau_to_word_refuses_corrupted_long_tableaux_with_the_checks_messages():
     """Past rank 6, each corruption of a seeded tableau is refused with the
-    message that the separate checks give."""
+    message that the separate checks give, and ``is_balanced`` judges the
+    tableau and each standard corruption as the reference does."""
     rng = random.Random(29)
     refused = {"entries": 0, "cell": 0, "tableau": 0}  # by first word
     for n in range(7, 15):
         for _ in range(3):
             t = word_to_tableau(random_reduced_word(rng, n))
             assert _word_or_message(t) == _replay_after_checks(t)
+            assert is_balanced(t) and reference_is_balanced(t)
             for f in _corruptions(t, rng):
                 outcome = _word_or_message(f)
                 assert outcome == _word_or_message(f, _replay_after_checks)
+                if sorted(f.entries) == list(range(1, len(f) + 1)):
+                    assert is_balanced(f) == reference_is_balanced(f)
+                else:
+                    assert _word_or_message(f, is_balanced) == outcome  # refused as non-bijective
                 if isinstance(outcome, str):
                     refused[outcome.split()[0]] += 1
     assert refused == {"entries": 24, "cell": 24, "tableau": 24}  # one per corruption
@@ -328,7 +335,8 @@ def test_tableau_to_word_equals_the_checked_replay_on_every_small_cell_set():
 )
 def test_tableau_to_word_equals_the_checked_replay_on_every_s5_filling_stress():
     """Every standard filling of every Rothe diagram of S_5 with at most 8
-    cells: the same word or the same refusal as the separate checks."""
+    cells: the same word or the same refusal as the separate checks, and a
+    word exactly when the filling is balanced."""
     tally = {Word: 0, str: 0}
     for w in all_permutations(5):
         cells = rothe_diagram(w).cells
@@ -338,6 +346,7 @@ def test_tableau_to_word_equals_the_checked_replay_on_every_s5_filling_stress():
             f = Filling(zip(cells, values))
             outcome = _word_or_message(f)
             assert outcome == _word_or_message(f, _replay_after_checks)
+            assert is_balanced(f) == isinstance(outcome, Word)
             tally[type(outcome)] += 1
     assert sum(tally.values()) == 456_113
     assert tally[Word] == sum(len(enumerate_reduced_words(w)) for w in all_permutations(5) if w.length <= 8)

@@ -127,40 +127,31 @@ def test_inv_rejects_unbalanced_tableau(tmp_path, capsys):
     assert "not balanced" in err
 
 
-def test_inv_tableau_accepts_a_tableau_without_the_balance_check(tmp_path, capsys, monkeypatch):
-    """A tableau is accepted by the inverse labelling's replay, linear in
-    its cells; the quadratic ``is_balanced`` only explains a refusal."""
-
-    def refuse(f):
-        raise AssertionError("is_balanced ran on a balanced tableau")
-
-    monkeypatch.setattr("redwords.cli.is_balanced", refuse)
-    path = tmp_path / "tableau.txt"
-    path.write_text(
-        "1,1,5;1,2,3;1,3,2;3,2,9;3,3,8;3,5,10;3,6,1;4,2,6;4,3,4;5,2,12;5,3,11;5,6,7\n"
-    )
-    code, out, _ = run_cli(capsys, "inv", "--tableau", str(path))
-    assert code == 0
-    assert out.splitlines()[0] == "inversions: 11"
+_TABLEAU_REFUSALS = {
+    "entry_twice": ("1,1,1;2,1,1", "entries are not a bijection onto 1..2"),
+    "entry_out_of_range": ("1,1,2", "entries are not a bijection onto 1..1"),
+    "not_rothe": ("1,2,1", "cell set is not the diagram of a permutation"),
+    "unbalanced": ("1,1,1;1,2,2", "tableau in {path} is not balanced"),
+    "not_rothe_and_unbalanced": ("1,2,1;1,3,2", "tableau in {path} is not balanced"),
+}
 
 
 @pytest.mark.parametrize(
-    "text,message",
+    "command,text,message",
     [
-        ("1,1,1;2,1,1", "entries are not a bijection onto 1..2"),
-        ("1,1,2", "entries are not a bijection onto 1..1"),
-        ("1,2,1", "cell set is not the diagram of a permutation"),
-        ("1,1,1;1,2,2", "tableau in {path} is not balanced"),
-        ("1,2,1;1,3,2", "tableau in {path} is not balanced"),
+        # inv's cases carry the bare class name
+        pytest.param(command, text, message, id=name if command == "inv" else f"{command}-{name}")
+        for command in ("inv", "biject", "flip", "psi")
+        for name, (text, message) in _TABLEAU_REFUSALS.items()
     ],
-    ids=["entry_twice", "entry_out_of_range", "not_rothe", "unbalanced", "not_rothe_and_unbalanced"],
 )
-def test_inv_tableau_refusals_keep_their_messages(tmp_path, capsys, text, message):
-    """Each refusal names the first failing check in the order balance,
-    then shape, as the checks themselves word it."""
+def test_inv_tableau_refusals_keep_their_messages(tmp_path, capsys, command, text, message):
+    """Each command that reads a tableau file refuses it naming the first
+    failing check in the order balance, then shape, as the checks
+    themselves word it."""
     path = tmp_path / "tableau.txt"
     path.write_text(text + "\n")
-    assert run_cli(capsys, "inv", "--tableau", str(path)) == (
+    assert run_cli(capsys, command, "--tableau", str(path)) == (
         1,
         "",
         f"redwords: error: {message.format(path=path)}\n",

@@ -42,6 +42,7 @@ from conftest import (
     oracle_distance,
     oracle_min_braids,
     random_reduced_word,
+    reference_is_balanced,
     tableau_42153,
     tableau_4321,
 )
@@ -68,17 +69,6 @@ def test_is_balanced_examples():
     assert not is_balanced(unbalanced)
 
 
-def _reference_is_balanced(f):
-    """The balance check cell against cell, O(ell^2) per filling."""
-    items = f.items()
-    for (r, c), e in items:
-        right_greater = sum(1 for (r2, c2), e2 in items if r2 == r and c2 > c and e2 > e)
-        above_smaller = sum(1 for (r2, c2), e2 in items if c2 == c and r2 > r and e2 < e)
-        if right_greater != above_smaller:
-            return False
-    return True
-
-
 def test_is_balanced_matches_reference_on_every_standard_filling():
     tally = {True: 0, False: 0}
     for n in range(1, 5):
@@ -86,11 +76,22 @@ def test_is_balanced_matches_reference_on_every_standard_filling():
             cells = rothe_diagram(w).cells
             for values in itertools_permutations(range(1, len(cells) + 1)):
                 f = Filling(zip(cells, values))
-                expected = _reference_is_balanced(f)
+                expected = reference_is_balanced(f)
                 assert is_balanced(f) == expected
                 tally[expected] += 1
     # as many balanced tableaux as reduced words over S_1..S_4
     assert tally == {True: 1 + 2 + 7 + 66, False: 1190}
+    # balance is defined on any diagram: every set of at most 5 cells in the 3x3 grid
+    grid = [(r, c) for r in range(1, 4) for c in range(1, 4)]
+    tally = {True: 0, False: 0}
+    for size in range(6):
+        for cells in combinations(grid, size):
+            for values in itertools_permutations(range(1, size + 1)):
+                f = Filling(zip(cells, values))
+                expected = reference_is_balanced(f)
+                assert is_balanced(f) == expected
+                tally[expected] += 1
+    assert tally == {True: 1759, False: 16971}  # 18,730 fillings
 
 
 def test_is_balanced_rejects_non_bijective():
