@@ -117,7 +117,7 @@ class Filling:
         )
 
     def __hash__(self) -> int:
-        return hash((self.cells, self.entries))
+        return hash(self.entries)  # one graph's vertices share their cells
 
     def __repr__(self) -> str:
         return f"Filling({dict(self.items())!r})"
@@ -250,7 +250,7 @@ def _decode_rows(cells: Iterable[Cell]) -> Permutation:
     sizes = Counter(r for r, _ in cells)
     n = max((r + k for r, k in sizes.items()), default=1)  # row r's k cells need r + k <= n
     available = list(range(n, 0, -1))  # falling, so taking the c-th smallest moves c values
-    return tuple.__new__(Permutation, [available.pop(-1 - sizes[r]) for r in range(1, n + 1)])
+    return tuple.__new__(Permutation, [available.pop(-1 - sizes.get(r, 0)) for r in range(1, n + 1)])
 
 
 def permutation_of_diagram(d: Diagram) -> Permutation:

@@ -65,7 +65,7 @@ class Permutation(tuple):
     __slots__ = ()
 
     def __new__(cls, entries: Iterable[int]) -> "Permutation":
-        entries = tuple(int(x) for x in entries)
+        entries = tuple(map(int, entries))
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on 1..{n}: {entries}")

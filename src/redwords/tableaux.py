@@ -11,7 +11,7 @@ is read like any other; its permutation is the empty one.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect, bisect_left, insort
 from typing import Iterable, Iterator, Sequence
 
 from .diagrams import (
@@ -162,18 +162,22 @@ def inversion_pairs(f: Filling) -> list[tuple[int, int]]:
     ]
 
 
-def _rows_and_columns(f: Filling) -> tuple[list[int], Iterable[list[int]]]:
-    """The rows of the entries 1..ell in entry order, and each column's entries
-    bottom up, in one pass over the cells.  A missing entry is a ``KeyError``."""
+def _rows_and_braids(f: Filling) -> tuple[list[int], int]:
+    """The rows of the entries 1..ell in entry order and the column inversions,
+    in one walk over the cells: each column keeps its entries below sorted and
+    bisects them for the larger ones.  A missing entry is a ``KeyError``."""
     ell = len(f)
-    rows, columns = [0] * ell, {}
+    rows, below, braids = [0] * ell, {}, 0  # below: column -> its entries seen, sorted
     for (r, c), e in zip(f.cells, f.entries):
         if e <= ell:
             rows[e - 1] = r
-        columns.setdefault(c, []).append(e)
+        column = below.setdefault(c, [])
+        at = bisect(column, e)
+        braids += len(column) - at
+        column.insert(at, e)
     if ell > 1 and 0 in rows:  # a pair would look the entry up
         raise KeyError(rows.index(0) + 1)
-    return rows, columns.values()
+    return rows, braids
 
 
 def tab_inversions(f: Filling) -> int:
@@ -184,31 +188,27 @@ def tab_inversions(f: Filling) -> int:
     0
 
     The pairs of ``inversion_pairs`` are the inversions of the rows read in
-    entry order, less those within a column.
+    entry order, less the column inversions.
     """
-    rows, columns = _rows_and_columns(f)
-    return _inversions(rows) - sum(map(_inversions, columns))
+    rows, braids = _rows_and_braids(f)
+    return _inversions(rows) - braids
 
 
 def column_inversions(f: Filling) -> int:
     """Pairs i < j with i strictly above j in the same column; counts the
     Yang-Baxter moves on any minimal path to the super tableau."""
-    return sum(map(_inversions, _rows_and_columns(f)[1]))
+    return _rows_and_braids(f)[1]
 
 
 def tab_permutation(f: Filling) -> Permutation:
     """Sort each row decreasing, then read right to left within rows, bottom
     row first.  Reading a decreasing row right to left is reading its
-    entries in increasing order.
+    entries in increasing order, so this is one sort by (row, entry).
 
     >>> str(tab_permutation(super_tableau(Permutation([4, 2, 1, 5, 3]))))
     '1,2,3,4,5'
     """
-    out: list[int] = []
-    rows = f.rows()
-    for r in sorted(rows):
-        out.extend(sorted(e for _, e in rows[r]))
-    return Permutation(out)
+    return Permutation(e for _, e in sorted((r, e) for (r, _), e in zip(f.cells, f.entries)))
 
 
 def row_coinversions(f: Filling) -> int:

@@ -46,8 +46,8 @@ class Word(tuple):
     __slots__ = ()
 
     def __new__(cls, letters: Iterable[int] = ()) -> "Word":
-        letters = tuple(int(x) for x in letters)
-        if any(x < 1 for x in letters):
+        letters = tuple(map(int, letters))
+        if letters and min(letters) < 1:
             raise ValueError(f"letters must be positive: {letters}")
         return tuple.__new__(cls, letters)
 

@@ -7,6 +7,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from redwords import (
+    Filling,
     Move,
     Permutation,
     Word,
@@ -287,6 +288,17 @@ def test_shortest_paths_rejects_foreign_vertex():
     g = build_graph(Permutation([4, 3, 2, 1]), "words")
     with pytest.raises(ValueError):
         shortest_paths(g, Word([9, 9]))
+    # fillings hash by their entries alone, as one graph's vertices share
+    # their cells, but equality still compares the cells
+    g = build_graph(Permutation([4, 3, 2, 1]), "tableaux")
+    t = g.vertices[3]
+    twin = Filling(zip(t.cells, t.entries))
+    assert twin == t and hash(twin) == hash(t) and g.index_of(twin) == 3
+    moved = Filling(zip([(r + 1, c) for r, c in t.cells], t.entries))
+    assert moved != t and moved.entries == t.entries
+    for look_up in (g.index_of, lambda v: shortest_paths(g, v)):
+        with pytest.raises(ValueError, match="vertex not in graph"):
+            look_up(moved)
 
 
 def test_graph_from_json_rejects_unknown_model():

@@ -13,14 +13,16 @@ perm_strategy = st.integers(1, 6).flatmap(
 
 
 def test_rejects_non_bijections():
-    with pytest.raises(ValueError):
-        Permutation([1, 1, 2])
-    with pytest.raises(ValueError):
-        Permutation([1, 1])
-    with pytest.raises(ValueError):
-        Permutation([0, 1])
-    with pytest.raises(ValueError):
-        Permutation([2, 3])
+    for entries, message in (
+        ([1, 1, 2], "not a bijection on 1..3: (1, 1, 2)"),
+        ([1, 1], "not a bijection on 1..2: (1, 1)"),
+        ([0, 1], "not a bijection on 1..2: (0, 1)"),
+        ([2, 3], "not a bijection on 1..2: (2, 3)"),
+        (iter(["2", 3.0]), "not a bijection on 1..2: (2, 3)"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            Permutation(entries)
+        assert str(caught.value) == message
 
 
 def test_length_examples():

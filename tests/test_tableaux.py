@@ -60,6 +60,23 @@ BIG = Filling(
 BIG_PERM = Permutation([2, 3, 5, 1, 8, 9, 10, 4, 6, 7, 11, 12])
 
 
+GRID = [(r, c) for r in range(1, 4) for c in range(1, 4)]
+
+
+def _grid_fillings():
+    """Every standard filling of every set of at most 5 cells of the 3x3
+    grid, then every filling of at most 3 of them with entries in
+    1..size+1 (24,449 fillings), Rothe diagrams or not."""
+    for size in range(6):
+        for cells in combinations(GRID, size):
+            for values in itertools_permutations(range(1, size + 1)):
+                yield _filling(cells, values)
+    for size in range(4):
+        for cells in combinations(GRID, size):
+            for values in product(range(1, size + 2), repeat=size):
+                yield _filling(cells, values)
+
+
 def test_is_balanced_examples():
     hooks = Filling({(1, 1): 3, (1, 2): 5, (1, 3): 2, (2, 1): 1, (4, 3): 4})
     assert is_balanced(hooks)
@@ -82,10 +99,9 @@ def test_is_balanced_matches_reference_on_every_standard_filling():
     # as many balanced tableaux as reduced words over S_1..S_4
     assert tally == {True: 1 + 2 + 7 + 66, False: 1190}
     # balance is defined on any diagram: every set of at most 5 cells in the 3x3 grid
-    grid = [(r, c) for r in range(1, 4) for c in range(1, 4)]
     tally = {True: 0, False: 0}
     for size in range(6):
-        for cells in combinations(grid, size):
+        for cells in combinations(GRID, size):
             for values in itertools_permutations(range(1, size + 1)):
                 f = Filling(zip(cells, values))
                 expected = reference_is_balanced(f)
@@ -465,10 +481,11 @@ def _reference_column_inversions(f):
 
 
 def _counted(count, f):
+    """The value, or the exception's type and arguments."""
     try:
         return count(f)
-    except KeyError as exc:
-        return KeyError, exc.args
+    except (KeyError, ValueError) as exc:
+        return type(exc), exc.args
 
 
 def test_column_inversions_match_pairwise_count():
@@ -483,6 +500,33 @@ def test_column_inversions_match_pairwise_count():
                     f = _filling(cells, values)
                     expected = _counted(_reference_column_inversions, f)
                     assert _counted(column_inversions, f) == expected
+    raised = 0
+    for f in _grid_fillings():  # any cell set, not only Rothe diagrams
+        expected = _counted(_reference_column_inversions, f)
+        assert _counted(column_inversions, f) == expected
+        raised += not isinstance(expected, int)
+    assert raised == 5124  # every non-standard filling of 2 or 3 cells
+
+
+def _reference_tab_permutation(f):
+    """Each row's entries sorted increasing, rows bottom up, read off the
+    row dict of ``Filling.rows``."""
+    out = []
+    rows = f.rows()
+    for r in sorted(rows):
+        out.extend(sorted(e for _, e in rows[r]))
+    return Permutation(out)
+
+
+def test_tab_permutation_is_the_row_by_row_reading():
+    """The same permutation, or the same refusal of entries that are not a
+    bijection, as sorting each row of the row dict."""
+    raised = 0
+    for f in _grid_fillings():
+        expected = _counted(_reference_tab_permutation, f)
+        assert _counted(tab_permutation, f) == expected
+        raised += not isinstance(expected, Permutation)
+    assert raised == 5133  # every non-standard filling
 
 
 def test_kernels_match_references_on_seeded_long_tableaux():
@@ -493,6 +537,7 @@ def test_kernels_match_references_on_seeded_long_tableaux():
         assert reconstruct_from_row_multisets(t.diagram, rows) == t
         assert _reference_reconstruct(t.diagram, rows) == t
         assert column_inversions(t) == _reference_column_inversions(t)
+        assert tab_permutation(t) == _reference_tab_permutation(t)
 
 
 def test_tab_inversions_count_the_inversion_pairs():
@@ -510,6 +555,9 @@ def test_tab_inversions_count_the_inversion_pairs():
                     f = _filling(cells, values)
                     expected = _counted(lambda t: len(inversion_pairs(t)), f)
                     assert _counted(tab_inversions, f) == expected
+    for f in _grid_fillings():
+        expected = _counted(lambda t: len(inversion_pairs(t)), f)
+        assert _counted(tab_inversions, f) == expected
     rng = random.Random(13)
     for n in range(7, 15):
         t = word_to_tableau(random_reduced_word(rng, n))
