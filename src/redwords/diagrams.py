@@ -206,15 +206,13 @@ def row_interval_filling(d: Diagram) -> Filling:
 
 
 def is_rothe_diagram(d: Diagram | Iterable[Cell]) -> bool:
-    """True iff the row-interval filling makes every column an increasing
-    interval from the bottom up, starting with c at the bottom of column c."""
+    """True iff some permutation's Rothe diagram is d: whether
+    ``permutation_of_diagram`` accepts it."""
     d = d if isinstance(d, Diagram) else Diagram(d)
-    filling = row_interval_filling(d)
-    last: dict[int, int] = {}  # column -> its entry read last, bottom up
-    for (_, c), e in zip(filling.cells, filling.entries):  # row-major
-        if e != last.get(c, c - 1) + 1:
-            return False
-        last[c] = e
+    try:
+        permutation_of_diagram(d)
+    except ValueError:
+        return False
     return True
 
 

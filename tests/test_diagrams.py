@@ -1,4 +1,6 @@
+import os
 import time
+from itertools import permutations as itertools_permutations
 
 import pytest
 
@@ -50,6 +52,9 @@ def test_permutation_of_diagram_cost_follows_its_cells():
     w = permutation_of_diagram(Diagram([(100000, 100000)]))
     assert w == Permutation([*range(1, 100000), 100001, 100000])
     assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert is_rothe_diagram(Diagram([(100000, 100000)]))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -98,30 +103,54 @@ def test_is_rothe_diagram():
         for w in all_permutations(n):
             assert is_rothe_diagram(rothe_diagram(w)), w
     assert not is_rothe_diagram(Diagram([(1, 2)]))
+    # every column reads an interval under the row-interval filling, yet no
+    # permutation draws these
+    assert not is_rothe_diagram(Diagram([(1, 1), (2, 2)]))
+    assert not is_rothe_diagram(Diagram([(1, 1), (1, 2), (2, 1), (2, 3)]))
     assert is_rothe_diagram(Diagram())
 
 
-def _columns_are_intervals(d):
-    """The column rule, read column by column: under the row-interval
-    filling each column reads c, c+1, ... from the bottom up."""
-    f = row_interval_filling(d)
-    by_cell = dict(zip(f.cells, f.entries))
-    for c in {c for _, c in d.cells}:
-        entries = [by_cell[cell] for cell in d.cells if cell[1] == c]
-        if entries != list(range(c, c + len(entries))):
-            return False
-    return True
+def _drawn_in_grid(rows, cols):
+    """Every Rothe diagram inside the grid, drawn from the definition: the
+    cells (i, w(j)) over i < j with w(i) > w(j).  A row of the grid holds at
+    most ``cols`` cells, so every diagram inside it is drawn in S_{rows+cols}."""
+    n = rows + cols
+    drawn = set()
+    for w in itertools_permutations(range(1, n + 1)):
+        cells = frozenset(
+            (i + 1, w[j]) for i in range(n) for j in range(i + 1, n) if w[i] > w[j]
+        )
+        if all(r <= rows and c <= cols for r, c in cells):
+            drawn.add(cells)
+    return drawn
 
 
-@pytest.mark.parametrize("rows,cols", [(3, 4), (4, 3)])
-def test_is_rothe_diagram_agrees_with_the_column_rule_on_every_subset(rows, cols):
+def _accepted_in_grid(rows, cols):
+    """Check the Rothe test against the definition and against the decoding
+    on every subset of the grid; return how many subsets it accepts."""
     grid = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    drawn = _drawn_in_grid(rows, cols)
     accepted = 0
     for mask in range(1 << len(grid)):
         d = Diagram(cell for k, cell in enumerate(grid) if mask >> k & 1)
-        assert is_rothe_diagram(d) == _columns_are_intervals(d), d
-        accepted += is_rothe_diagram(d)
-    assert accepted == 136
+        rothe = is_rothe_diagram(d)
+        assert rothe == (frozenset(d.cells) in drawn), d
+        assert rothe == isinstance(_decoded(permutation_of_diagram, d), Permutation), d
+        accepted += rothe
+    return accepted
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 4), (4, 3)])
+def test_is_rothe_diagram_equals_the_definition_on_every_subset(rows, cols):
+    assert _accepted_in_grid(rows, cols) == 73
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="4x4 grid stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_is_rothe_diagram_equals_the_definition_on_the_4x4_grid_stress():
+    assert _accepted_in_grid(4, 4) == 209
 
 
 def test_super_tableau_examples():

@@ -14,6 +14,7 @@ from redwords import (
     flip,
     inversion_pairs,
     is_balanced,
+    is_rothe_diagram,
     min_inv_w0,
     psi,
     reconstruct_from_row_multisets,
@@ -26,6 +27,7 @@ from redwords import (
     tab_commutation,
     tab_inversions,
     tab_permutation,
+    tableau_to_word,
     word_inversions,
     word_to_permutation,
 )
@@ -75,6 +77,24 @@ def _grid_fillings():
         for cells in combinations(GRID, size):
             for values in product(range(1, size + 2), repeat=size):
                 yield _filling(cells, values)
+
+
+def test_tableau_to_word_certifies_exactly_the_balanced_rothe_fillings():
+    """The replay's certificate against the two checks it stands for, over
+    every standard filling of ``_grid_fillings``, Rothe diagrams or not."""
+    tally = {True: 0, False: 0}
+    for f in _grid_fillings():
+        if sorted(f.entries) != list(range(1, len(f) + 1)):
+            continue
+        try:
+            tableau_to_word(f)
+        except ValueError:
+            certified = False
+        else:
+            certified = True
+        assert certified == (is_balanced(f) and is_rothe_diagram(f.diagram)), f
+        tally[certified] += 1
+    assert tally == {True: 82, False: 19234}  # 19,316 standard fillings
 
 
 def test_is_balanced_examples():
