@@ -4,11 +4,11 @@ permutations agree.
 
 Both directions are the Edelman–Greene labelling ("Balanced tableaux",
 1987), read forwards and backwards: entry k marks the inversion that the
-word's k-th swap creates, in its cell of the Rothe diagram.  A word is
-labelled from its replay, ``words._replay``, whose swaps listed row by row
-are its pairing permutation; a tableau is read by making its swaps in entry
-order, which reaches the permutation its row sizes decode to exactly when it
-is balanced.  The empty word and the empty tableau match like any other pair.
+word's k-th swap creates, in its cell of the Rothe diagram.  A word's replay,
+``words._replay``, lists those cells; its swaps listed row by row are its
+pairing permutation.  A tableau is read by making its swaps in entry order,
+which reaches the permutation its row sizes decode to exactly when it is
+balanced.  The empty word and the empty tableau match like any other pair.
 """
 
 from __future__ import annotations
@@ -103,16 +103,15 @@ def word_to_tableau(word: Word) -> Filling:
     """The unique balanced tableau whose permutation matches the word's:
     the Edelman–Greene inversion labelling.
 
-    Swap k of the word's replay (``words._replay``) puts a smaller value x
-    and a larger value y out of order, and entry k goes in the Rothe cell
-    (position of y in w, x).  A word that is not reduced raises.
+    Entry k goes in the Rothe cell that the word's replay
+    (``words._replay``) lists for swap k, and the cells are sorted into
+    row-major order.  A word that is not reduced raises.
 
     >>> word_to_tableau(Word([1, 4, 2, 3, 1])).to_text()
     '1,1,3;1,2,5;1,3,2;2,1,1;4,3,4'
     """
-    w, created = _replay(_as_word(word))
-    row, n = w.inverse(), len(w)  # value y's position in w, at y - 1
-    cells = [(row[y - 1], x) for y, x in created]  # entry k's cell, at k - 1
+    w, cells = _replay(_as_word(word))  # entry k's cell, at k - 1
+    n = len(w)
     order = sorted(range(len(cells)), key=[r * n + x for r, x in cells].__getitem__)  # x < n
     return _filling(tuple(map(cells.__getitem__, order)), tuple(k + 1 for k in order))
 

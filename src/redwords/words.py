@@ -1,10 +1,10 @@
 """Reduced words, runs, the super-Yamanouchi word, Coxeter moves, and the
 inversion statistic, read from ``_replay``: the one pass that checks a word
-is reduced and lists the inversion each swap creates.
+is reduced and lists the Rothe cell of the inversion each swap creates.
 
 Enumeration lists the words of each permutation left with ``_TAIL`` letters
-once per call.  The rank reads ``_rows``, each swap's Rothe row and the
-inversions among them; only ``_pairing`` sorts the rows into the pairing.
+once per call.  The rank counts the inversions among the cells' rows; only
+``_pairing`` sorts the swaps by row into the pairing.
 
 Index conventions, fixed once
 -----------------------------
@@ -257,8 +257,9 @@ def braid_move(word: Word, i: int) -> Word:
 
 def _replay(word: Word) -> tuple[Permutation, list[tuple[int, int]]]:
     """Apply the letters right to left to the identity: the permutation w
-    of rank max(word) + 1, and the (larger, smaller) values each swap puts
-    out of order.  A swap that finds the larger value on the left raises."""
+    of rank max(word) + 1, and each swap's Rothe cell.  Swap k puts values
+    x < y out of order, and its cell, at k - 1, is (position of y in w, x).
+    A swap that finds the larger value on the left raises."""
     v = list(range(1, max(word, default=0) + 2))
     created = []
     for letter in word[::-1]:  # a plain tuple: reversed() on a Word is slower
@@ -268,27 +269,17 @@ def _replay(word: Word) -> tuple[Permutation, list[tuple[int, int]]]:
         v[letter - 1] = y
         v[letter] = x
         created.append((y, x))
-    return tuple.__new__(Permutation, v), created
+    row = sorted(range(1, len(v) + 1), key=(0, *v).__getitem__)  # value y's position in w, at y - 1
+    return tuple.__new__(Permutation, v), [(row[y - 1], x) for y, x in created]
 
 
-def _rows(word: Word) -> tuple[Permutation, list[int], int]:
-    """A reduced word's permutation w, each swap's Rothe row, and the
-    inversion number of its pairing permutation, without building the
-    pairing.  Swap k's row, at k - 1, is the 0-based position in w of the
-    larger value it swaps; the pairing lists the swaps by row, so its
-    inversions are earlier swaps in higher rows."""
-    w, created = _replay(word)
-    row_of = sorted(range(len(w)), key=w.__getitem__)  # value y's position in w, at y - 1
-    rows = [row_of[y - 1] for y, _ in created]
-    return w, rows, _inversions(rows)
-
-
-def _pairing(word: Word) -> tuple[Permutation, Permutation, int]:
-    """A reduced word's pairing permutation, its permutation w, and the
-    pairing's inversion number; see ``pairing_permutation`` and ``_rows``."""
-    w, rows, inversions = _rows(word)
-    pairing = sorted(range(1, len(rows) + 1), key=(0, *rows).__getitem__)  # stable: ties by k
-    return tuple.__new__(Permutation, pairing), w, inversions
+def _pairing(word: Word) -> tuple[Permutation, Permutation]:
+    """A reduced word's pairing permutation and its permutation w: the
+    swaps stably sorted by their Rothe row; see ``pairing_permutation``."""
+    w, cells = _replay(word)
+    rows = (0, *(r for r, _ in cells))
+    pairing = sorted(range(1, len(cells) + 1), key=rows.__getitem__)  # stable: ties by k
+    return tuple.__new__(Permutation, pairing), w
 
 
 def pairing_permutation(word: Word | Iterable[int]) -> Permutation:
@@ -321,8 +312,8 @@ def word_inversions(word: Word | Iterable[int]) -> int:
     11
     """
     word = _as_word(word)
-    w, _, inversions = _rows(word)
-    return inversions - (sum(_super_word(w)) - sum(word))
+    w, cells = _replay(word)  # earlier swaps in higher rows are the pairing's inversions
+    return _inversions(r for r, _ in cells) - (sum(_super_word(w)) - sum(word))
 
 
 def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
@@ -331,11 +322,11 @@ def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
     and the letterwise displacement, the sum over i of |rho_i - sigma_u(i)|.
     When both words are bad, sigma's error is raised."""
     try:
-        u_rho, w_rho, _ = _pairing(rho)
+        u_rho, w_rho = _pairing(rho)
     except ValueError:
         _pairing(sigma)  # raises sigma's error, if any, first
         raise
-    u_sigma, w_sigma, _ = _pairing(sigma)
+    u_sigma, w_sigma = _pairing(sigma)
     if w_sigma != w_rho:  # reduced words of one permutation share their largest letter
         n = max(rho + sigma) + 1  # one of the two is not empty
         w_rho, w_sigma = (word_to_permutation(x, n) for x in (rho, sigma))

@@ -201,8 +201,9 @@ def reference_reduced_words(w: Permutation) -> Iterator[Word]:
 
 
 def reference_pairing(word: Word) -> tuple[Permutation, Permutation, int]:
-    """The paper's pairing scan: ``words._pairing``'s (pairing, w,
-    inversions), computed by matching the word against ``super_word(w)``.
+    """The paper's pairing scan: the pairing permutation, the word's
+    permutation w and the pairing's inversion number, computed by matching
+    the word against ``super_word(w)``.
 
     For each super letter, left to right, the first unmatched letter of the
     word equal to a falling target k matches; a letter equal to k-1 lowers

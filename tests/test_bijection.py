@@ -35,7 +35,7 @@ from redwords import (
 )
 
 from redwords.bijection import match_by_permutation
-from redwords.words import _rows
+from redwords.words import _replay
 
 from conftest import (
     EDGE_GRID_4321,
@@ -407,9 +407,9 @@ def test_read_path_pairs_each_word_once(monkeypatch):
 
     def counting(word):
         paired.append(word)
-        return _rows(word)
+        return _replay(word)
 
-    monkeypatch.setattr("redwords.words._rows", counting)
+    monkeypatch.setattr("redwords.words._replay", counting)
     rng = random.Random(13)
     for n in range(7, 15):
         for _ in range(4):
