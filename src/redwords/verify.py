@@ -20,9 +20,9 @@ Six rules keep a run from doing the same work twice:
   built once per run; the bijection checks read those vertex lists;
 - the words of w are matched with its tableaux once, by
   ``bijection.match_by_permutation`` over those two vertex lists, as a list
-  giving each word vertex its tableau's vertex index; both correspondence
-  checks read that one list and its one comparison of the two move tables
-  (``edge_failure``) and of the ranks (``rank_failure``);
+  giving each word vertex its tableau's vertex index, from which
+  ``_Checks._correspondence`` compares the move tables and the ranks once,
+  into the one record that both correspondence checks read;
 - a question asked of every vertex (its distance to the super element, or
   the fewest braids on a shortest path there) is answered by one
   ``graphs.shortest_paths`` pass from the super element, which the orbit
@@ -70,33 +70,8 @@ def staircase_tableau_count(n: int) -> int:
 def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
     """Exhaustive checks that matching by permutation is a bijection that
     preserves ranks, move edges, and the flip/reversal square."""
-    return _poset_isomorphism(_Checks(w, w.n, _Orbit(), [0, 0]))
-
-
-def _poset_isomorphism(c: _Checks) -> list[CheckResult]:
-    """``verify_poset_isomorphism`` on the graphs, matching and tables of
-    the context ``c`` of w."""
-    w, gw, to_tab = c.w, c.word_graph, c._to_tab
-    if to_tab is None:
-        return [CheckResult("perm_matching_bijection", False, f"w={w}")]
-    rank_fail = None if c._rank_failure is None else f"w={w} word={c._rank_failure}"
-    edge_fail = c._edge_failure
-    flipped, inverse = c._table("flip"), c.orbit.graph(w.inverse(), "tableaux")
-    square_fail = next(
-        (
-            f"w={w} word={rho}"
-            for rho, j in zip(gw.vertices, to_tab)
-            if flipped[j] < 0  # a flip outside the graph of w^-1
-            or bijection.word_to_tableau(rho.reverse()) != inverse.vertices[flipped[j]]
-        ),
-        None,
-    )
-    return [
-        CheckResult("perm_matching_bijection", True),
-        CheckResult("rank_preserved", rank_fail is None, rank_fail),
-        CheckResult("edges_correspond", edge_fail is None, edge_fail),
-        CheckResult("flip_matches_reversal", square_fail is None, square_fail),
-    ]
+    parts, _ = _Checks(w, w.n, _Orbit(), [0, 0])._correspondence
+    return [CheckResult(name, detail is None, detail) for name, detail in parts.items()]
 
 
 def run_suite(n: int) -> list[CheckResult]:
@@ -226,30 +201,43 @@ class _Checks:
         return self.orbit.paths(self.w, model)
 
     @functools.cached_property
-    def _to_tab(self) -> list[int] | None:
-        """Per word vertex, the index of the tableau of the same permutation;
-        None when that pairing is not a bijection."""
-        return bijection.match_by_permutation(self.word_graph.vertices, self.tableau_graph.vertices)
-
-    @functools.cached_property
-    def _rank_failure(self) -> words.Word | None:
-        """The first word, in word order, whose rank differs from its
-        tableau's; None when there is none.  Needs the matching."""
-        gw, ranks = self.word_graph, self.tableau_graph.ranks
-        return next((rho for rho, r, j in zip(gw.vertices, gw.ranks, self._to_tab) if r != ranks[j]), None)
-
-    @functools.cached_property
-    def _edge_failure(self) -> str | None:
-        """The first move, in word order, that the matching does not carry
-        from a word to its tableau: the word table, mapped through the
-        matching, must equal the tableau table.  Needs the matching."""
-        gw, gt, to_tab = self.word_graph, self.tableau_graph, self._to_tab
-        moves = bijection.moves_for(self.w.length)
-        for k, rho in enumerate(gw.vertices):
-            for move, j, t in zip(moves, gw.images(k), gt.images(to_tab[k])):
-                if to_tab[j] != t:
-                    return f"w={self.w} word={rho} move={move.label}"
-        return None
+    def _correspondence(self) -> tuple[dict[str, str | None], words.Word | None]:
+        """The word-tableau poset isomorphism on w, from one matching: each
+        part's first counterexample or None, in report order (the matching
+        alone when there is none), and the first word whose tableau does
+        not keep its rank.  Edges correspond when the word table, carried
+        through the matching, equals the tableau table."""
+        w, gw, gt = self.w, self.word_graph, self.tableau_graph
+        to_tab = bijection.match_by_permutation(gw.vertices, gt.vertices)
+        if to_tab is None:
+            return {"perm_matching_bijection": f"w={w}"}, None
+        rank_word = next((rho for rho, r, j in zip(gw.vertices, gw.ranks, to_tab) if r != gt.ranks[j]), None)
+        moves = bijection.moves_for(w.length)
+        edges = next(
+            (
+                f"w={w} word={rho} move={move.label}"
+                for k, rho in enumerate(gw.vertices)
+                for move, j, t in zip(moves, gw.images(k), gt.images(to_tab[k]))
+                if to_tab[j] != t
+            ),
+            None,
+        )
+        flipped, inverse = self._table("flip"), self.orbit.graph(w.inverse(), "tableaux")
+        square = next(
+            (
+                f"w={w} word={rho}"
+                for rho, j in zip(gw.vertices, to_tab)
+                if flipped[j] < 0  # a flip outside the graph of w^-1
+                or bijection.word_to_tableau(rho.reverse()) != inverse.vertices[flipped[j]]
+            ),
+            None,
+        )
+        return {
+            "perm_matching_bijection": None,
+            "rank_preserved": None if rank_word is None else f"w={w} word={rank_word}",
+            "edges_correspond": edges,
+            "flip_matches_reversal": square,
+        }, rank_word
 
     @functools.cached_property
     def _w0_extremes(self) -> tuple[list[int], list[int], int]:
@@ -452,10 +440,8 @@ class _Checks:
         return None if n_words == n_tableaux else f"w={self.w}: {n_words} vs {n_tableaux}"
 
     def bijection_poset_isomorphism(self) -> str | None:
-        for res in _poset_isomorphism(self):
-            if not res.passed:
-                return f"{res.name}: {res.detail}"
-        return None
+        parts, _ = self._correspondence
+        return next((f"{name}: {detail}" for name, detail in parts.items() if detail is not None), None)
 
     # --- graphs ------------------------------------------------------------------
 
@@ -470,14 +456,12 @@ class _Checks:
         return None
 
     def graph_models_isomorphic(self) -> str | None:
-        w = self.w
-        if self._to_tab is None:
+        w, (parts, rank_word) = self.w, self._correspondence
+        if parts["perm_matching_bijection"] is not None:
             return f"w={w}: no bijection"
-        if self._edge_failure is not None:
+        if parts["edges_correspond"] is not None:
             return f"w={w}: edge sets differ"
-        if self._rank_failure is not None:
-            return f"w={w}: rank mismatch at {self._rank_failure}"
-        return None
+        return None if rank_word is None else f"w={w}: rank mismatch at {rank_word}"
 
     # --- the longest permutation only ------------------------------------------
 

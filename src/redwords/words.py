@@ -320,18 +320,21 @@ def _pair_displacement(rho: Word, sigma: Word) -> tuple[Permutation, int]:
     """The pair permutation u, perm(sigma) composed with the inverse of
     perm(rho), after checking both words reduce to the same permutation;
     and the letterwise displacement, the sum over i of |rho_i - sigma_u(i)|.
-    When both words are bad, sigma's error is raised."""
+    Sigma is not paired when it is the super word of rho's permutation,
+    whose pairing is the identity.  When both are bad, sigma's error is raised."""
     try:
         u_rho, w_rho = _pairing(rho)
     except ValueError:
         _pairing(sigma)  # raises sigma's error, if any, first
         raise
-    u_sigma, w_sigma = _pairing(sigma)
-    if w_sigma != w_rho:  # reduced words of one permutation share their largest letter
-        n = max(rho + sigma) + 1  # one of the two is not empty
-        w_rho, w_sigma = (word_to_permutation(x, n) for x in (rho, sigma))
-        raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
-    u = u_sigma * u_rho.inverse()
+    u = u_rho.inverse()
+    if sigma != _super_word(w_rho):
+        u_sigma, w_sigma = _pairing(sigma)
+        if w_sigma != w_rho:  # reduced words of one permutation share their largest letter
+            n = max(rho + sigma) + 1  # one of the two is not empty
+            w_rho, w_sigma = (word_to_permutation(x, n) for x in (rho, sigma))
+            raise ValueError(f"words are for different permutations: {w_rho} vs {w_sigma}")
+        u = u_sigma * u
     return u, sum(abs(rho[-i] - sigma[-j]) for i, j in enumerate(u, 1))  # letter i is word[-i]
 
 
@@ -365,12 +368,7 @@ def naive_pair_inversions(rho: Word | Iterable[int], sigma: Word | Iterable[int]
     This is a heuristic only.  It agrees with the move distance when sigma
     is the super-Yamanouchi word but can be wrong in either direction for
     arbitrary pairs, and is returned unclamped (it may in principle be
-    negative).
+    negative).  Toward the super word only rho is paired.
     """
-    rho, sigma = _as_word(rho), _as_word(sigma)
-    if len(rho) == len(sigma) and sigma == _super_word(word_to_permutation(rho)):
-        # the super word's pairing is the identity, so u is rho's pairing inverted
-        u = _pairing(rho)[0].inverse()
-        return u.length - sum(abs(rho[-i] - sigma[-j]) for i, j in enumerate(u, 1))
-    u, displacement = _pair_displacement(rho, sigma)
+    u, displacement = _pair_displacement(_as_word(rho), _as_word(sigma))
     return u.length - displacement

@@ -277,6 +277,7 @@ def test_diagram_text_round_trip():
     d = rothe_diagram(Permutation([4, 2, 1, 5, 3]))
     assert d.to_text() == "1,1;1,2;1,3;2,1;4,3"
     assert Diagram.from_text(d.to_text()) == d
+    assert eval(repr(d)) == d
     assert Diagram.from_text("") == Diagram()
     with pytest.raises(ValueError):
         Diagram.from_text("1,2,3")
@@ -295,6 +296,7 @@ def test_filling_text_round_trip():
     st5 = super_tableau(Permutation([4, 2, 1, 5, 3]))
     assert st5.to_text() == "1,1,3;1,2,2;1,3,1;2,1,4;4,3,5"
     assert Filling.from_text(st5.to_text()) == st5
+    assert eval(repr(st5)) == st5
     assert Filling.from_text("") == Filling({})
     with pytest.raises(ValueError):
         Filling.from_text("1,1")

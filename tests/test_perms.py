@@ -87,6 +87,8 @@ def test_compose():
     )
     with pytest.raises(ValueError):
         p * Permutation([2, 1])
+    with pytest.raises(TypeError):
+        Permutation([2, 1]) * 2
 
 
 def test_derived_permutations_equal_public_ones():
@@ -96,6 +98,7 @@ def test_derived_permutations_equal_public_ones():
         rebuilt = Permutation(list(q))
         assert type(q) is Permutation
         assert q == rebuilt and hash(q) == hash(rebuilt)
+        assert eval(repr(q)) == q
 
 
 def test_all_permutations_rejects_empty_rank():

@@ -25,6 +25,7 @@ from redwords import (
     super_tableau,
     super_word,
     tableaux,
+    verify_poset_isomorphism,
     words,
 )
 from redwords.cli import main
@@ -418,6 +419,13 @@ def test_correspondence_checks_report_a_faulty_matching(monkeypatch, fault):
     for check, detail in expected.items():
         assert not results[check].passed
         assert results[check].detail == detail
+    # the public function reports the same parts as the check
+    parts = verify_poset_isomorphism(W0_4)
+    if fault == "no_matching":
+        assert parts == [CheckResult("perm_matching_bijection", False, "w=4,3,2,1")]
+    if "bijection_poset_isomorphism" in expected:
+        first = next(r for r in parts if not r.passed)
+        assert f"{first.name}: {first.detail}" == expected["bijection_poset_isomorphism"]
 
 
 def test_suite_matches_each_permutation_once(monkeypatch):
