@@ -12,6 +12,7 @@ is read like any other; its permutation is the empty one.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left, insort
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .diagrams import (
@@ -24,6 +25,7 @@ from .diagrams import (
     super_tableau,
 )
 from .perms import Permutation, _inversions
+from .words import _HELD
 
 
 def _check_standard(f: Filling) -> None:
@@ -162,10 +164,11 @@ def inversion_pairs(f: Filling) -> list[tuple[int, int]]:
     ]
 
 
-def _rows_and_braids(f: Filling) -> tuple[list[int], int]:
-    """The rows of the entries 1..ell in entry order and the column inversions,
-    in one walk over the cells: each column keeps its entries below sorted and
-    bisects them for the larger ones.  A missing entry is a ``KeyError``."""
+@lru_cache(maxsize=_HELD)
+def _rows_and_braids(f: Filling) -> tuple[tuple[int, ...], int]:
+    """The rows of the entries 1..ell in entry order, as a tuple, and the
+    column inversions, in one walk bisecting each column's sorted entries
+    below; kept for the last 64 fillings.  A missing entry is a ``KeyError``."""
     ell = len(f)
     rows, below, braids = [0] * ell, {}, 0  # below: column -> its entries seen, sorted
     for (r, c), e in zip(f.cells, f.entries):
@@ -177,7 +180,7 @@ def _rows_and_braids(f: Filling) -> tuple[list[int], int]:
         column.insert(at, e)
     if ell > 1 and 0 in rows:  # a pair would look the entry up
         raise KeyError(rows.index(0) + 1)
-    return rows, braids
+    return tuple(rows), braids
 
 
 def tab_inversions(f: Filling) -> int:

@@ -1,6 +1,7 @@
 """Reduced words, runs, the super-Yamanouchi word, Coxeter moves, and the
 inversion statistic, read from ``_replay``: the one pass that checks a word
 is reduced and lists the Rothe cell of the inversion each swap creates.
+It keeps the last ``_HELD`` = 64 words' results, as ``_super_word`` does.
 
 Enumeration lists the words of each permutation left with ``_TAIL`` letters
 once per call.  The rank counts the inversions among the cells' rows; only
@@ -112,6 +113,7 @@ def is_reduced(word: Word | Iterable[int], n: int | None = None) -> bool:
 
 
 _TAIL = 4  # letters left when iter_reduced_words reuses a listed tail
+_HELD = 64  # results kept by each memo: _super_word, _replay, tableaux._rows_and_braids
 
 
 def _peel(v: tuple[int, ...], depth: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -210,7 +212,7 @@ def super_word(w: Permutation) -> Word:
     return _super_word(tuple(w))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_HELD)
 def _super_word(entries: tuple[int, ...]) -> Word:
     v = list(entries)
     n = len(v)
@@ -255,11 +257,13 @@ def braid_move(word: Word, i: int) -> Word:
     return tuple.__new__(Word, letters)
 
 
-def _replay(word: Word) -> tuple[Permutation, list[tuple[int, int]]]:
+@lru_cache(maxsize=_HELD)
+def _replay(word: Word) -> tuple[Permutation, tuple[tuple[int, int], ...]]:
     """Apply the letters right to left to the identity: the permutation w
     of rank max(word) + 1, and each swap's Rothe cell.  Swap k puts values
     x < y out of order, and its cell, at k - 1, is (position of y in w, x).
-    A swap that finds the larger value on the left raises."""
+    A swap that finds the larger value on the left raises, and nothing is
+    kept; the last 64 words' results are kept, as tuples no caller can alter."""
     v = list(range(1, max(word, default=0) + 2))
     created = []
     for letter in word[::-1]:  # a plain tuple: reversed() on a Word is slower
@@ -270,7 +274,7 @@ def _replay(word: Word) -> tuple[Permutation, list[tuple[int, int]]]:
         v[letter] = x
         created.append((y, x))
     row = sorted(range(1, len(v) + 1), key=(0, *v).__getitem__)  # value y's position in w, at y - 1
-    return tuple.__new__(Permutation, v), [(row[y - 1], x) for y, x in created]
+    return tuple.__new__(Permutation, v), tuple([(row[y - 1], x) for y, x in created])
 
 
 def _pairing(word: Word) -> tuple[Permutation, Permutation]:
@@ -343,21 +347,24 @@ def yang_baxter_count(rho: Word | Iterable[int], sigma: Word | Iterable[int]) ->
     sigma, computed from the pair permutation without any search.
 
     Exact whenever sigma is the super-Yamanouchi word (checked exhaustively
-    through rank 5), where it is the letter-sum surplus sum(sigma) - sum(rho)
-    and no word is paired: each match of the pairing only lowers its super
-    letter.  For arbitrary pairs it can disagree with the braid count of
-    actual shortest paths, e.g. (1,2,3,2,1,2) to (2,3,2,1,2,3) gives 2 here
-    while every shortest path uses 4 braids; treat the arbitrary-pair value
-    as a formula, not a measurement.
+    through rank 5), where it is the letter-sum surplus sum(sigma) - sum(rho):
+    each match of the pairing only lowers its super letter.  That test reads
+    w from rho's replay, one of the last 64 kept, and pairs no word.  For
+    arbitrary pairs it can disagree with the braid count of actual shortest
+    paths, e.g. (1,2,3,2,1,2) to (2,3,2,1,2,3) gives 2 here while every
+    shortest path uses 4 braids; treat the arbitrary-pair value as a
+    formula, not a measurement.
 
     >>> rho = Word([5, 6, 3, 4, 5, 7, 3, 1, 4, 2, 3, 6])
     >>> yang_baxter_count(rho, super_word(word_to_permutation(rho)))
     2
     """
     rho, sigma = _as_word(rho), _as_word(sigma)
-    # a rho as long as its permutation's super word is reduced
-    if len(rho) == len(sigma) and sigma == _super_word(word_to_permutation(rho)):
-        return sum(sigma) - sum(rho)
+    try:  # a rho that is not reduced is left to _pair_displacement, for its errors
+        if len(rho) == len(sigma) and sigma == _super_word(_replay(rho)[0]):
+            return sum(sigma) - sum(rho)
+    except ValueError:
+        pass
     return _pair_displacement(rho, sigma)[1]
 
 

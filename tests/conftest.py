@@ -3,7 +3,8 @@ and their tableau counterparts, transcribed as letter tuples / cell fillings,
 plus small graph-search oracles that are independent of the library's graph
 code, the paper's pairing scan as a reference for the pairing
 permutation, a plain depth-first enumeration of reduced words, and the
-balance check cell against cell."""
+balance check cell against cell; and an autouse fixture that empties the
+package's memos before each test."""
 
 from collections import defaultdict, deque
 from typing import Iterator
@@ -11,6 +12,17 @@ from typing import Iterator
 import pytest
 
 from redwords import Filling, Permutation, Word, super_word
+from redwords.tableaux import _rows_and_braids
+from redwords.words import _replay, _super_word
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Each test starts with empty memos: a result kept by an earlier test
+    cannot hide a fault this one injects, and ``cache_info`` counts start
+    at zero."""
+    for memo in (_replay, _rows_and_braids, _super_word):
+        memo.cache_clear()
 
 # ---------------------------------------------------------------------------
 # The eleven reduced words for 42153 and the thirteen labeled moves between

@@ -35,6 +35,7 @@ from redwords import (
 )
 
 from redwords.bijection import match_by_permutation
+from redwords.tableaux import _rows_and_braids
 from redwords.words import _replay
 
 from conftest import (
@@ -399,25 +400,25 @@ def test_seeded_round_trip_of_long_words():
             assert column_inversions(t) == yang_baxter_count(rho, super_rho)
 
 
-def test_read_path_pairs_each_word_once(monkeypatch):
+def test_read_path_pairs_each_word_once():
     """One query on a long word (its rank, its tableau, the round trip and
-    its braid count toward the super word) pairs the word once and never
-    pairs the super word."""
-    paired = []
-
-    def counting(word):
-        paired.append(word)
-        return _replay(word)
-
-    monkeypatch.setattr("redwords.words._replay", counting)
+    its braid count toward the super word) replays the word once, which
+    the tableau and the braid count then read from the memo, never replays
+    the super word, and walks the tableau once for both of its counts."""
     rng = random.Random(13)
     for n in range(7, 15):
         for _ in range(4):
             rho = random_reduced_word(rng, n)
-            paired.clear()
+            pi = super_word(word_to_permutation(rho))
+            assert rho != pi
+            _replay.cache_clear()
+            _rows_and_braids.cache_clear()
             inv = word_inversions(rho)
             t = word_to_tableau(rho)
             assert tab_inversions(t) == inv
+            assert column_inversions(t) == yang_baxter_count(rho, pi)
             assert tableau_to_word(t) == rho
-            yang_baxter_count(rho, super_word(word_to_permutation(rho)))
-            assert paired == [rho]
+            replays, walks = _replay.cache_info(), _rows_and_braids.cache_info()
+            # one word kept: rho, so the super word was never replayed
+            assert (replays.misses, replays.hits, replays.currsize) == (1, 2, 1)
+            assert (walks.misses, walks.hits) == (1, 1)

@@ -107,6 +107,29 @@ def test_inv_tableau(tmp_path, capsys):
     ]
 
 
+def test_inv_reads_its_element_once(tmp_path, capsys):
+    """``inv --word`` replays its word once, for all three lines, and
+    ``inv --tableau`` walks its tableau's cells once, for both counts; the
+    output is the one the other ``inv`` tests pin."""
+    from redwords.tableaux import _rows_and_braids
+    from redwords.words import _replay
+
+    expected = "inversions: 11\npermutation: 2,3,5,1,8,9,10,4,6,7,11,12\nyang_baxter: 2\n"
+    path = tmp_path / "tableau.txt"
+    path.write_text(
+        "1,1,5;1,2,3;1,3,2;3,2,9;3,3,8;3,5,10;3,6,1;4,2,6;4,3,4;5,2,12;5,3,11;5,6,7\n"
+    )
+    for memo, source in (
+        (_replay, ["--word", "5,6,3,4,5,7,3,1,4,2,3,6"]),
+        (_rows_and_braids, ["--tableau", str(path)]),
+    ):
+        before = memo.cache_info()
+        assert run_cli(capsys, "inv", *source) == (0, expected, "")
+        after = memo.cache_info()
+        assert (after.misses - before.misses, after.currsize - before.currsize) == (1, 1)
+        assert after.hits > before.hits
+
+
 def test_inv_of_the_empty_word_and_the_empty_tableau(tmp_path, capsys):
     """Both empty elements print the same payload: rank 0, the empty
     permutation and no braid."""

@@ -582,3 +582,47 @@ def test_tab_inversions_count_the_inversion_pairs():
     for n in range(7, 15):
         t = word_to_tableau(random_reduced_word(rng, n))
         assert tab_inversions(t) == len(inversion_pairs(t))
+
+
+def test_cell_walk_memo_keeps_results_not_errors():
+    """A filling missing an entry raises the same ``KeyError`` on every
+    call, before and after other fillings are kept, and is never kept; a
+    kept walk is a tuple of rows; fillings with the same entries in other
+    cells are kept apart; an equal filling built by ``Filling`` reads the
+    same counts as the one ``word_to_tableau`` gives; and more distinct
+    fillings than the memo holds leave it full, no larger."""
+    from redwords.tableaux import _rows_and_braids
+    from redwords.words import _HELD
+
+    gap = _filling(((1, 1), (1, 2)), (1, 3))
+
+    def raises_each_time():
+        for count in (tab_inversions, column_inversions):
+            for _ in range(2):
+                with pytest.raises(KeyError) as caught:
+                    count(gap)
+                assert caught.value.args == (2,)
+
+    raises_each_time()
+    assert _rows_and_braids.cache_info().currsize == 0
+    assert _rows_and_braids(_filling(((1, 1),), (1,)))[0] == (1,)
+    assert _rows_and_braids(_filling(((2, 1),), (1,)))[0] == (2,)
+    rng = random.Random(19)
+    for n in range(7, 12):
+        t = word_to_tableau(random_reduced_word(rng, n))
+        built = Filling(t.items())
+        assert built == t and built is not t
+        counts = tab_inversions(t), column_inversions(t)
+        _rows_and_braids.cache_clear()
+        assert (tab_inversions(built), column_inversions(built)) == counts
+        assert counts == (len(inversion_pairs(t)), _reference_column_inversions(t))
+        rows, _ = _rows_and_braids(t)
+        pos = t.positions()
+        assert rows == tuple(pos[e][0] for e in range(1, len(t) + 1))
+    ts = enumerate_sbt(Permutation.longest(5))
+    assert len(ts) > _HELD
+    for t in ts:
+        assert tab_inversions(t) == len(inversion_pairs(t))
+    held = _rows_and_braids.cache_info()
+    assert held.currsize == held.maxsize == _HELD
+    raises_each_time()

@@ -388,6 +388,9 @@ PAIR_ERRORS = {
         "words are for different permutations: 3,1,2 vs 2,3,1",
     ),
     "a letter below 1": ((0, 1), (1,), "letters must be positive: (0, 1)"),
+    # equal lengths: the braid count's super-word test replays rho first
+    "both non-reduced, equal lengths": ((1, 1), (2, 2), "word is not reduced: 2,2"),
+    "non-reduced rho, equal lengths": ((1, 1), (1, 2), "word is not reduced: 1,1"),
 }
 
 
@@ -489,6 +492,41 @@ def test_super_word_memo_is_keyed_by_permutation():
     held = _super_word.cache_info()
     assert len({word_to_permutation(rho) for rho, _ in cases}) > held.maxsize
     assert held.misses > held.maxsize
+
+
+def test_replay_memo_keeps_results_not_errors():
+    """A word that is not reduced raises the same error on every call,
+    before and after reduced words are kept, and is never kept itself; a
+    kept result is made of tuples; and more distinct words than the memo
+    holds leave it full, no larger."""
+    from redwords.bijection import word_to_tableau
+    from redwords.words import _HELD, _replay
+
+    bad, message = Word([1, 2, 1, 2]), "word is not reduced: 1,2,1,2"
+    reads = (word_inversions, pairing_permutation, word_to_tableau)
+
+    def raises_each_time():
+        for read in reads:
+            for _ in range(2):
+                with pytest.raises(ValueError) as caught:
+                    read(bad)
+                assert str(caught.value) == message
+
+    raises_each_time()
+    assert _replay.cache_info().currsize == 0
+    rhos = enumerate_reduced_words(Permutation.longest(5))
+    assert len(rhos) > _HELD
+    first = [word_inversions(rho) for rho in rhos[:3]]
+    for rho in rhos:
+        w, cells = _replay(rho)
+        assert type(w) is Permutation and type(cells) is tuple
+        assert all(type(cell) is tuple for cell in cells)
+        assert _replay(rho) is _replay(Word(rho))  # one kept result per word
+    held = _replay.cache_info()
+    assert held.currsize == held.maxsize == _HELD
+    raises_each_time()
+    assert _replay.cache_info().currsize == _HELD
+    assert [word_inversions(rho) for rho in rhos[:3]] == first  # replayed again
 
 
 def test_word_to_text_matches_str():
