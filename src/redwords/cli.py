@@ -156,8 +156,9 @@ def _cmd_dist(args) -> int:
     g = build_graph(w, args.model, max_vertices=args.budget)
     parse = lookup_model(args.model).type.from_text
     a, b = parse(args.src), parse(args.dst)
-    dist, braids = shortest_paths(g, a)
+    g.index_of(a)  # both ends are looked up, a first, before the search
     ib = g.index_of(b)
+    dist, braids = shortest_paths(g, a)
     if dist[ib] < 0:
         raise ValueError("vertices are not connected")
     payload = {"distance": dist[ib], "min_braids": braids[ib]}

@@ -30,6 +30,8 @@ Vertex = Word | Filling
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
+_BLOCK = 4096  # vertices whose edges ``MoveGraph.iter_edges`` sorts at once
+
 
 class Model(NamedTuple):
     """A model's element type (``from_text``, ``to_text``); the elements of
@@ -117,10 +119,18 @@ class MoveGraph:
 
     def iter_edges(self) -> Iterator[tuple[int, int, str]]:
         """Every (k, j, label) with k < j the image of vertex k under the
-        move ``label``, sorted, one vertex at a time: no list of every edge."""
-        size, labels = len(self.vertices), [move.label for move in self._moves]
-        for k in range(size):  # k's images, read as in ``images`` without a call per vertex
-            yield from sorted([(k, j, label) for j, label in zip(self.table[k::size], labels) if k < j])
+        move ``label``, sorted, one block of ``_BLOCK`` vertices at a time:
+        no list holds more than one block's edges."""
+        size, table = len(self.vertices), self.table
+        slots = [(slot * size, move.label) for slot, move in enumerate(self._moves)]
+        for start in range(0, size, _BLOCK):
+            stop = min(start + _BLOCK, size)
+            block = []
+            for base, label in slots:  # each slot's images of the block's vertices
+                images = enumerate(table[base + start : base + stop], start)
+                block += [(k, j, label) for k, j in images if k < j]
+            block.sort()
+            yield from block
 
     def index_of(self, vertex: Vertex) -> int:
         try:
@@ -171,24 +181,31 @@ def build_graph(
     return g
 
 
-def _bfs(g: MoveGraph, source: int) -> list[int]:
+def _bfs(g: MoveGraph, source: int, target: int = -1) -> list[int]:
+    """Each vertex's distance from ``source``, or -1 if unreached.  A search
+    for a ``target`` stops once it labels it: vertices are labelled in order
+    of distance, so the target's is final, and later ones still read -1."""
     size, table = len(g.vertices), g.table
     dist = [-1] * size
     dist[source] = 0
+    if source == target:
+        return dist
     queue = deque([source])
     while queue:
         u = queue.popleft()
         for v in table[u::size]:  # u itself is already reached
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
+                if v == target:
+                    return dist
                 queue.append(v)
     return dist
 
 
 def bfs_distance(g: MoveGraph, a: Vertex, b: Vertex) -> int:
-    """Shortest-path length between two vertices."""
+    """Shortest-path length between two vertices, by a search that stops at b."""
     ia, ib = g.index_of(a), g.index_of(b)
-    dist = _bfs(g, ia)
+    dist = _bfs(g, ia, ib)
     if dist[ib] < 0:
         raise ValueError("vertices are not connected")
     return dist[ib]
@@ -217,8 +234,9 @@ def shortest_paths(g: MoveGraph, source: Vertex) -> tuple[list[int], list[int]]:
 
 def min_braid_count(g: MoveGraph, a: Vertex, b: Vertex) -> int:
     """Minimum number of braid-labeled edges over all shortest paths."""
-    dist, braids = shortest_paths(g, a)
+    g.index_of(a)  # both ends are looked up, a first, before the search
     ib = g.index_of(b)
+    dist, braids = shortest_paths(g, a)
     if dist[ib] < 0:
         raise ValueError("vertices are not connected")
     return braids[ib]

@@ -474,6 +474,19 @@ def test_unknown_tableau_is_shown_as_typed(capsys):
     assert "vertex not in graph: 1,1,2" in err
 
 
+def test_dist_looks_up_both_ends_before_searching(capsys, monkeypatch):
+    from redwords import graphs
+
+    runs = []
+    honest = graphs._bfs
+    monkeypatch.setattr(graphs, "_bfs", lambda *args: runs.append(args) or honest(*args))
+    for src, message in [("1,2,1,3,2,1", "9,9"), ("8,8", "8,8")]:
+        code, _, err = run_cli(capsys, "dist", "-w", "4,3,2,1", "--from", src, "--to", "9,9")
+        assert code == 1
+        assert f"vertex not in graph: {message}" in err
+    assert runs == []
+
+
 def test_malformed_tableau_file_exits_one(tmp_path, capsys):
     path = tmp_path / "tableau.txt"
     path.write_text("1,x,1")

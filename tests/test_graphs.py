@@ -18,6 +18,7 @@ from redwords import (
     diameter,
     export,
     graph_from_json,
+    graphs,
     is_connected,
     min_braid_count,
     min_inv_w0,
@@ -122,8 +123,17 @@ def test_dot_exports_are_byte_identical(model):
     assert digest.hexdigest() == DOT_DIGESTS[model]
 
 
-@pytest.mark.parametrize("model", ["words", "tableaux"])
-def test_edge_walk_is_the_edge_list_in_order(model):
+@pytest.mark.parametrize(
+    "model,block",  # block None: the module's own block size
+    [
+        pytest.param(model, block, id=model if block is None else f"{model}-block{block}")
+        for model in ("words", "tableaux")
+        for block in (None, 1, 2, 3)
+    ],
+)
+def test_edge_walk_is_the_edge_list_in_order(monkeypatch, model, block):
+    if block is not None:
+        monkeypatch.setattr(graphs, "_BLOCK", block)
     for n in range(1, 6):
         for w in all_permutations(n):
             g = build_graph(w, model)
@@ -174,6 +184,38 @@ def test_bfs_distance():
     assert min_braid_count(g, rho, rho) == 0
     with pytest.raises(ValueError):
         bfs_distance(g, rho, Word([9, 9]))
+
+
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_bfs_distance_agrees_with_the_full_search_over_s1_to_s4(model):
+    for n in range(1, 5):
+        for w in all_permutations(n):
+            g = build_graph(w, model)
+            for a in g.vertices:
+                dist, _ = shortest_paths(g, a)
+                assert [bfs_distance(g, a, b) for b in g.vertices] == dist, (w, a)
+
+
+def test_bfs_distance_stops_at_its_target(monkeypatch):
+    g = build_graph(Permutation([4, 3, 2, 1]), "words")
+    near = next(v for v, r in zip(g.vertices, g.ranks) if r == 1)
+    runs = _bfs_counted(monkeypatch)
+    assert bfs_distance(g, super_word(g.w), near) == 1
+    assert bfs_distance(g, near, near) == 0
+    # a full search reaches all 16 words; these stop with words unreached
+    assert [dist.count(-1) > 0 for dist in runs] == [True, True]
+    assert runs[1].count(-1) == len(g.vertices) - 1
+
+
+@pytest.mark.parametrize("measure", [bfs_distance, min_braid_count])
+def test_distances_look_up_both_ends_before_searching(monkeypatch, measure):
+    g = build_graph(Permutation([4, 3, 2, 1]), "words")
+    runs = _bfs_counted(monkeypatch)
+    with pytest.raises(ValueError, match="^vertex not in graph: 9,9$"):
+        measure(g, g.vertices[0], Word([9, 9]))
+    with pytest.raises(ValueError, match="^vertex not in graph: 8,8$"):
+        measure(g, Word([8, 8]), Word([9, 9]))
+    assert runs == []
 
 
 def test_distances_equal_inversions():
@@ -406,15 +448,13 @@ def _all_pairs_diameter(g):
 
 
 def _bfs_counted(monkeypatch):
-    """Count the graphs module's BFS runs from here on."""
-    from redwords import graphs
-
+    """The graphs module's BFS runs from here on, each as the distances it returned."""
     runs = []
     honest = graphs._bfs
 
-    def counted(g, source):
-        runs.append(source)
-        return honest(g, source)
+    def counted(*args):
+        runs.append(honest(*args))
+        return runs[-1]
 
     monkeypatch.setattr(graphs, "_bfs", counted)
     return runs
