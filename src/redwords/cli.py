@@ -153,9 +153,9 @@ def _cmd_inv(args) -> int:
 
 def _cmd_dist(args) -> int:
     w = Permutation.from_text(args.w)
-    g = build_graph(w, args.model, max_vertices=args.budget)
     parse = lookup_model(args.model).type.from_text
     a, b = parse(args.src), parse(args.dst)
+    g = build_graph(w, args.model, max_vertices=args.budget)
     g.index_of(a)  # both ends are looked up, a first, before the search
     ib = g.index_of(b)
     dist, braids = shortest_paths(g, a)

@@ -8,11 +8,11 @@ checks run only at the longest permutation; ``yang_baxter_pairwise_scope``
 is a tally for n <= 4 that always passes.
 
 ``run_suite`` sweeps S_n once, one inversion orbit {w, w^-1} at a time from
-its lexicographically smaller member.  ``_check_orbit`` builds the orbit's
-move graphs as the checks first ask for them, runs each check on w and, if
-it passed, on w^-1, and lets the graphs go when it returns the first
-failure per check and the scope tally; ``run_suite`` keeps the
-lexicographically first failure per check and sums the tallies.
+its lexicographically smaller member.  ``_check_orbit(w)`` runs each check
+on w and, if it passed, on w^-1, as ``_Checks(v, orbit)`` over one
+``_Orbit`` that builds the move graphs on first request, keeps the scope
+tally and is let go once the first failure per check and the tally return;
+``run_suite`` keeps the lexicographically first failure and sums the tallies.
 
 Six rules keep a run from doing the same work twice:
 
@@ -29,7 +29,9 @@ Six rules keep a run from doing the same work twice:
   holds once per (member, model) for every check that asks it, not by one
   search per vertex; that pass also shows whether the graph is connected;
 - each move is applied once, by ``graphs.build_graph``; checks read each
-  vertex's images through ``MoveGraph.images``; no check reads an edge list;
+  vertex's images through ``MoveGraph.images``; only ``graph_connected_ranked``
+  reads an edge list, as ``graphs.validate_ranked_poset`` finds its first
+  bad edge in ``MoveGraph.iter_edges``;
 - each element's rank is computed once, on the first read of
   ``MoveGraph.ranks``, and read from there; each other statistic of each
   tableau (column inversions, balance, flip, complement) is computed into
@@ -70,7 +72,7 @@ def staircase_tableau_count(n: int) -> int:
 def verify_poset_isomorphism(w: Permutation) -> list[CheckResult]:
     """Exhaustive checks that matching by permutation is a bijection that
     preserves ranks, move edges, and the flip/reversal square."""
-    parts, _ = _Checks(w, w.n, _Orbit(), [0, 0])._correspondence
+    parts, _ = _Checks(w, _Orbit())._correspondence
     return [CheckResult(name, detail is None, detail) for name, detail in parts.items()]
 
 
@@ -82,7 +84,7 @@ def run_suite(n: int) -> list[CheckResult]:
     scope = [0, 0]  # pairs where the braid formula agrees, differs
     for w in all_permutations(n):
         if w <= w.inverse():
-            found, tally = _check_orbit(w, n)
+            found, tally = _check_orbit(w)
             for name, failure in found.items():
                 failures[name] = min(failures.get(name, failure), failure)
             scope = [a + b for a, b in zip(scope, tally)]
@@ -97,21 +99,20 @@ def run_suite(n: int) -> list[CheckResult]:
     return [CheckResult(name, name not in failures, details.get(name)) for name in CHECKS]
 
 
-def _check_orbit(w: Permutation, n: int) -> tuple[dict[str, tuple[Permutation, str]], list[int]]:
+def _check_orbit(w: Permutation) -> tuple[dict[str, tuple[Permutation, str]], list[int]]:
     """Run the checks on w and then its inverse, from one set of move graphs
     and tables that is released on return; return each failing check's
     first (member, detail) and the pair's scope tally."""
-    orbit, scope, found = _Orbit(), [0, 0], {}
-    longest = Permutation.longest(n)
+    orbit, found, longest = _Orbit(), {}, Permutation.longest(w.n)
     for v in dict.fromkeys((w, w.inverse())):  # one member for an involution
-        checks = _Checks(v, n, orbit, scope)
+        checks = _Checks(v, orbit)
         for name in CHECKS:
             if name in found or name.startswith("w0_") and v != longest:
                 continue
             detail = getattr(checks, name)()
             if detail is not None:
                 found[name] = (v, detail)
-    return found, scope
+    return found, orbit.scope
 
 
 # The statistics whose values, elements of the inverse permutation, are listed as vertex indices.
@@ -121,9 +122,10 @@ _MAPS = ("flip", "psi")
 class _Orbit:
     """The move graphs of an inverse pair {w, w^-1}, their shortest paths
     from the super element and the lists of their elements' statistics,
-    each made on first request."""
+    each made on first request, and the pair's scope tally."""
 
     def __init__(self):
+        self.scope = [0, 0]  # pairs where the braid formula agrees, differs
         self._graphs: dict[tuple[Permutation, str], graphs.MoveGraph] = {}
         self._paths: dict[tuple[Permutation, str], tuple[list[int], list[int]]] = {}
         self._tables: dict[tuple[Permutation, str], list] = {}
@@ -188,17 +190,9 @@ class _Checks:
     orbit: each public method is a check that returns a counterexample
     detail or None, in report order."""
 
-    def __init__(self, w: Permutation, n: int, orbit: _Orbit, scope: list[int]):
-        self.w, self.n, self.orbit, self.scope = w, n, orbit, scope
+    def __init__(self, w: Permutation, orbit: _Orbit):
+        self.w, self.n, self.orbit = w, w.n, orbit
         self.word_graph, self.tableau_graph = orbit.graph(w, "words"), orbit.graph(w, "tableaux")
-
-    def _table(self, name: str) -> list:
-        """The orbit's table of the statistic ``name`` on w's tableau graph."""
-        return self.orbit.table(self.w, name)
-
-    def _paths(self, model: str) -> tuple[list[int], list[int]]:
-        """The orbit's distances and fewest braids from w's super element."""
-        return self.orbit.paths(self.w, model)
 
     @functools.cached_property
     def _correspondence(self) -> tuple[dict[str, str | None], words.Word | None]:
@@ -222,7 +216,7 @@ class _Checks:
             ),
             None,
         )
-        flipped, inverse = self._table("flip"), self.orbit.graph(w.inverse(), "tableaux")
+        flipped, inverse = self.orbit.table(w, "flip"), self.orbit.graph(w.inverse(), "tableaux")
         square = next(
             (
                 f"w={w} word={rho}"
@@ -244,7 +238,7 @@ class _Checks:
         """Distances from the super tableau and from its complement, and the
         distance between the two."""
         bottom = tableaux.psi(diagrams.super_tableau(self.w))
-        dtop = self._paths("tableaux")[0]
+        dtop = self.orbit.paths(self.w, "tableaux")[0]
         dbot, _ = graphs.shortest_paths(self.tableau_graph, bottom)
         return dtop, dbot, dtop[self.tableau_graph.index_of(bottom)]
 
@@ -283,17 +277,15 @@ class _Checks:
         return None
 
     def word_moves_involutive_rank_step(self) -> str | None:
-        w, n, g = self.w, self.n, self.word_graph
+        w, n, g, ell = self.w, self.n, self.word_graph, self.w.length
         reduced = [  # a word of w is reduced iff it is as long as w
-            v == w and v.length == len(word)
-            for word in g.vertices
-            for v in (words.word_to_permutation(word, n),)
+            words.word_to_permutation(word, n) == w and len(word) == ell for word in g.vertices
         ]
         bad = _first_bad_move(g, reduced, "left R(w)")
         return None if bad is None else f"w={w} rho={g.vertices[bad[0]]} {bad[1].label}: {bad[2]}"
 
     def word_inversions_equal_bfs_distance(self) -> str | None:
-        dist, _ = self._paths("words")
+        dist, _ = self.orbit.paths(self.w, "words")
         for rho, d, r in zip(self.word_graph.vertices, dist, self.word_graph.ranks):
             if d != r:
                 return f"w={self.w} rho={rho}"
@@ -323,7 +315,7 @@ class _Checks:
 
     def yang_baxter_count_to_super(self) -> str | None:
         pi = words.super_word(self.w)
-        _, braids = self._paths("words")
+        _, braids = self.orbit.paths(self.w, "words")
         for rho, b in zip(self.word_graph.vertices, braids):
             if words.yang_baxter_count(rho, pi) != b:
                 return f"w={self.w} rho={rho}"
@@ -339,7 +331,7 @@ class _Checks:
         for k, rho in enumerate(g.vertices[:-1]):
             _, braids = graphs.shortest_paths(g, rho)
             for sigma, b in zip(g.vertices[k + 1 :], braids[k + 1 :]):
-                self.scope[words.yang_baxter_count(rho, sigma) != b] += 1
+                self.orbit.scope[words.yang_baxter_count(rho, sigma) != b] += 1
 
     # --- diagrams -------------------------------------------------------------
 
@@ -372,7 +364,7 @@ class _Checks:
         return None
 
     def tableau_moves_balanced_involutive(self) -> str | None:
-        bad = _first_bad_move(self.tableau_graph, self._table("is_balanced"), "unbalanced image")
+        bad = _first_bad_move(self.tableau_graph, self.orbit.table(self.w, "is_balanced"), "unbalanced image")
         return None if bad is None else f"w={self.w} {bad[1].label}: {bad[2]}"
 
     def tableau_inversion_identity(self) -> str | None:
@@ -382,12 +374,13 @@ class _Checks:
         return None
 
     def tableau_inv_and_braids_by_bfs(self) -> str | None:
-        g, (dist, braids) = self.tableau_graph, self._paths("tableaux")
-        for t, d, b, r, c in zip(g.vertices, dist, braids, g.ranks, self._table("column_inversions")):
+        w, g = self.w, self.tableau_graph
+        (dist, braids), inversions = self.orbit.paths(w, "tableaux"), self.orbit.table(w, "column_inversions")
+        for t, d, b, r, c in zip(g.vertices, dist, braids, g.ranks, inversions):
             if d != r:
-                return f"w={self.w} tableau={t.to_text()}"
+                return f"w={w} tableau={t.to_text()}"
             if b != c:
-                return f"w={self.w} tableau={t.to_text()}: braid count"
+                return f"w={w} tableau={t.to_text()}: braid count"
         return None
 
     def tableau_row_sort_reconstruction(self) -> str | None:
@@ -401,7 +394,7 @@ class _Checks:
 
     def tableau_descent_sequence_counts(self) -> str | None:
         g = self.tableau_graph
-        for t, r, c in zip(g.vertices, g.ranks, self._table("column_inversions")):
+        for t, r, c in zip(g.vertices, g.ranks, self.orbit.table(self.w, "column_inversions")):
             seq = bijection.descent_to_super(t)
             if len(seq) != r:
                 return f"w={self.w} tableau={t.to_text()}: length"
@@ -412,13 +405,12 @@ class _Checks:
 
     def tableau_flip_involution_intertwines(self) -> str | None:
         """Flip maps w's tableaux onto w^-1's and carries c_i to c_(ell-i)
-        and b_i to b_(ell-i+1): one flip index map compares the two move
-        tables."""
+        and b_i to b_(ell-i+1), reversing each kind's block of move slots:
+        one flip index map compares the two move tables."""
         w, g, gi = self.w, self.tableau_graph, self.orbit.graph(self.w.inverse(), "tableaux")
         moves, ell = bijection.moves_for(w.length), w.length
-        slot = {move.label: s for s, move in enumerate(moves)}
-        partners = [slot[f"{m.kind}{ell - m.index + (m.kind == 'b')}"] for m in moves]
-        flipped = self._table("flip")
+        partners = [*range(ell - 2, -1, -1), *range(2 * ell - 4, ell - 2, -1)]
+        flipped = self.orbit.table(w, "flip")
         back = self.orbit.table(w.inverse(), "flip")  # gi's flip map into g
         for k, t in enumerate(g.vertices):
             f = flipped[k]
@@ -447,7 +439,7 @@ class _Checks:
 
     def graph_connected_ranked(self) -> str | None:
         for model in graphs.MODELS:
-            dist, _ = self._paths(model)
+            dist, _ = self.orbit.paths(self.w, model)
             if -1 in dist:  # unreached from the super element
                 return f"w={self.w} {model}: disconnected"
             for res in graphs.validate_ranked_poset(self.orbit.graph(self.w, model)):
@@ -467,7 +459,7 @@ class _Checks:
 
     def w0_complement_reverses_rank(self) -> str | None:
         expected = tableaux.min_inv_w0(self.n)
-        comp, rank = self._table("psi"), self.tableau_graph.ranks
+        comp, rank = self.orbit.table(self.w, "psi"), self.tableau_graph.ranks
         for k, (t, c) in enumerate(zip(self.tableau_graph.vertices, comp)):
             if c < 0 or comp[c] != k:  # an image outside the graph, or not back
                 return f"tableau={t.to_text()}: not an involution"

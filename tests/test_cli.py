@@ -487,6 +487,32 @@ def test_dist_looks_up_both_ends_before_searching(capsys, monkeypatch):
     assert runs == []
 
 
+def test_dist_parses_both_ends_before_building(capsys, monkeypatch):
+    """A malformed endpoint is refused before the graph is built; a
+    malformed permutation is still reported ahead of it."""
+    import redwords.cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_graph called")
+
+    monkeypatch.setattr(redwords.cli, "build_graph", no_build)
+    for w, src, message in [("6,5,4,3,2,1", "x", "malformed word text: 'x'"), ("1,1", "x", "not a bijection")]:
+        code, out, err = run_cli(capsys, "dist", "-w", w, "--from", src, "--to", "1")
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+
+def test_dist_reports_vertices_that_are_not_connected(capsys, monkeypatch):
+    from redwords import bijection
+
+    monkeypatch.setattr(bijection.Move, "on_word", lambda move, word: word)  # no edges
+    code, out, err = run_cli(capsys, "dist", "-w", "3,2,1", "--from", "1,2,1", "--to", "2,1,2")
+    assert code == 1
+    assert out == ""
+    assert err == "redwords: error: vertices are not connected\n"
+
+
 def test_malformed_tableau_file_exits_one(tmp_path, capsys):
     path = tmp_path / "tableau.txt"
     path.write_text("1,x,1")

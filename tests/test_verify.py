@@ -298,8 +298,8 @@ def test_suite_is_the_fold_of_its_inverse_pairs(monkeypatch, n, faulty):
             words, "word_inversions", lambda rho, *a, **k: honest(rho, *a, **k) + (rho[:1] == (1,))
         )
     pairs = [w for w in all_permutations(n) if w <= w.inverse()]
-    checked = [_check_orbit(w, n) for w in pairs]
-    assert checked == [_check_orbit(w, n) for w in pairs]
+    checked = [_check_orbit(w) for w in pairs]
+    assert checked == [_check_orbit(w) for w in pairs]
     failed = {}
     for found, _ in checked:
         for name, failure in found.items():
@@ -315,6 +315,11 @@ def test_suite_is_the_fold_of_its_inverse_pairs(monkeypatch, n, faulty):
         else:
             assert result.passed and result.detail is None
     assert bool(failed) == (faulty and n > 1)
+
+
+def test_orbit_past_rank_4_passes_with_an_empty_scope_tally():
+    """Past rank 4 the pairwise scope check tallies nothing."""
+    assert _check_orbit(Permutation([2, 1, 3, 4, 5])) == ({}, [0, 0])
 
 
 def test_suite_builds_each_graph_once_and_holds_one_inverse_pair(monkeypatch):
@@ -675,7 +680,7 @@ def test_w0_orbit_at_rank_6_passes_under_400_mb_stress():
         "import resource\n"
         "from redwords import Permutation\n"
         "from redwords.verify import _check_orbit\n"
-        "found, _ = _check_orbit(Permutation.longest(6), 6)\n"
+        "found, _ = _check_orbit(Permutation.longest(6))\n"
         "assert not found, found\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
