@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on malformed input, 2 when a verification run
-reports a failure.
+Each command returns its ``--json`` payload and its plain lines, and ``main``
+alone prints them and picks the exit code: 0 on success, 1 on malformed
+input, 2 when a verification run reports a failure.
 """
 
 from __future__ import annotations
@@ -85,73 +86,56 @@ def _read_tableau(path: str) -> Filling:
     return filling
 
 
-def _emit(payload: dict, lines: list[str], json_mode: bool) -> None:
-    if json_mode:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _render(f: Filling) -> str:
-    """The picture of f, refused when its grid is past the vertex budget."""
+def _tableau_payload(f: Filling) -> tuple[dict, list[str]]:
+    """f's text and picture, and its lines: the text, then each picture row
+    (none if f is empty).  The picture is refused when its grid is past the
+    vertex budget."""
     top, right = (max(axis) for axis in zip((0, 0), *f.cells))  # (0, 0) if f is empty
     if top * right > DEFAULT_VERTEX_BUDGET:
         raise ValueError(
             f"a picture of {top} rows and {right} columns is over the limit of "
             f"{DEFAULT_VERTEX_BUDGET} positions"
         )
-    return f.render()
-
-
-def _tableau_payload(f: Filling) -> tuple[dict, list[str]]:
-    """f's text and picture, and its lines: the text, then each picture row (none if f is empty)."""
-    text, display = f.to_text(), _render(f)
+    text, display = f.to_text(), f.render()
     return {"tableau": text, "display": display}, [text] + (display.split("\n") if display else [])
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[dict, list[str]]:
     w = Permutation.from_text(args.w)
     m = lookup_model(args.model)
     elements = [e.to_text() for e in sorted(m.elements(w), key=m.order)]
-    payload = {"w": str(w), "model": args.model, "elements": elements}
-    _emit(payload, elements, args.json)
-    return 0
+    return {"w": str(w), "model": args.model, "elements": elements}, elements
 
 
-def _cmd_super(args) -> int:
+def _cmd_super(args) -> tuple[dict, list[str]]:
     w = Permutation.from_text(args.w)
+    if (ell := w.length) > DEFAULT_VERTEX_BUDGET:  # the element has ell letters or cells
+        raise ValueError(f"w has length {ell}, over the limit of {DEFAULT_VERTEX_BUDGET}")
     top = lookup_model(args.model).top(w)
     payload = {"w": str(w), "model": args.model, "element": top.to_text()}
-    lines = [payload["element"]]
-    if args.model == "tableaux":  # a tableau also gets its picture
-        shown, lines = _tableau_payload(top)
-        payload["display"] = shown["display"]
-    _emit(payload, lines, args.json)
-    return 0
+    if args.model != "tableaux":
+        return payload, [payload["element"]]
+    shown, lines = _tableau_payload(top)  # a tableau also gets its picture
+    return {**payload, "display": shown["display"]}, lines
 
 
-def _cmd_inv(args) -> int:
+def _cmd_inv(args) -> tuple[dict, None]:
     if args.word is not None:
         rho = _read_word(args.word)
-        payload = {
+        return {
             "inversions": word_inversions(rho),
             "permutation": str(pairing_permutation(rho)),
             "yang_baxter": yang_baxter_count(rho, super_word(word_to_permutation(rho))),
-        }
-    else:
-        t = _read_tableau(args.tableau)
-        payload = {
-            "inversions": tab_inversions(t),
-            "permutation": str(tab_permutation(t)),
-            "yang_baxter": column_inversions(t),
-        }
-    lines = [f"{key}: {value}" for key, value in payload.items()]
-    _emit(payload, lines, args.json)
-    return 0
+        }, None
+    t = _read_tableau(args.tableau)
+    return {
+        "inversions": tab_inversions(t),
+        "permutation": str(tab_permutation(t)),
+        "yang_baxter": column_inversions(t),
+    }, None
 
 
-def _cmd_dist(args) -> int:
+def _cmd_dist(args) -> tuple[dict, None]:
     w = Permutation.from_text(args.w)
     parse = lookup_model(args.model).type.from_text
     a, b = parse(args.src), parse(args.dst)
@@ -161,50 +145,39 @@ def _cmd_dist(args) -> int:
     dist, braids = shortest_paths(g, a)
     if dist[ib] < 0:
         raise ValueError("vertices are not connected")
-    payload = {"distance": dist[ib], "min_braids": braids[ib]}
-    lines = [f"{key}: {value}" for key, value in payload.items()]
-    _emit(payload, lines, args.json)
-    return 0
+    return {"distance": dist[ib], "min_braids": braids[ib]}, None
 
 
-def _cmd_diameter(args) -> int:
+def _cmd_diameter(args) -> tuple[dict, list[str]]:
     value = min_inv_w0(args.n)  # refuses a rank below 1 in every mode
     if not args.formula:
         g = build_graph(Permutation.longest(args.n), "words", max_vertices=args.budget)
         value = diameter(g, w0_shortcut=args.shortcut)
-    _emit({"diameter": value}, [str(value)], args.json)
-    return 0
+    return {"diameter": value}, [str(value)]
 
 
-def _cmd_biject(args) -> int:
+def _cmd_biject(args) -> tuple[dict, list[str]]:
     if args.word is not None:
-        rho = _read_word(args.word)
-        payload, lines = _tableau_payload(word_to_tableau(rho))
-        _emit(payload, lines, args.json)
-    else:
-        t = _read_tableau(args.tableau)
-        word = str(tableau_to_word(t))
-        _emit({"word": word}, [word], args.json)
-    return 0
+        return _tableau_payload(word_to_tableau(_read_word(args.word)))
+    word = str(tableau_to_word(_read_tableau(args.tableau)))
+    return {"word": word}, [word]
 
 
-def _cmd_tableau_map(args) -> int:
+def _cmd_tableau_map(args) -> tuple[dict, list[str]]:
     """flip or psi, whichever the subcommand set as ``tableau_map``."""
-    payload, lines = _tableau_payload(args.tableau_map(_read_tableau(args.tableau)))
-    _emit(payload, lines, args.json)
-    return 0
+    return _tableau_payload(args.tableau_map(_read_tableau(args.tableau)))
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args) -> None:
+    """Writes its document itself, each record as it is made."""
     w = Permutation.from_text(args.w)
     g = build_graph(w, args.model, max_vertices=args.budget)
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
-        out.writelines(export_records(g, args.format))  # each record as it is made
+        out.writelines(export_records(g, args.format))
         out.write("\n")
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, list[str]]:
     results = run_suite(args.n)
     ok = all(r.passed for r in results)
     payload = {
@@ -214,8 +187,7 @@ def _cmd_verify(args) -> int:
     }
     lines = [r.line() for r in results]
     lines.append(f"RESULT: {'PASS' if ok else 'FAIL'} ({len(results)} checks, n={args.n})")
-    _emit(payload, lines, args.json)
-    return 0 if ok else 2
+    return payload, lines
 
 
 def _build_parser() -> _Parser:
@@ -297,14 +269,24 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    args.json = getattr(args, "json", False)
+    """Run one command.  A command without lines prints one ``key: value``
+    line per payload field; ``graph`` writes its own document."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        output = args.func(args)
+        if output is None:
+            return 0
+        payload, lines = output
+        if getattr(args, "json", False):
+            lines = [json.dumps(payload, indent=2)]
+        elif lines is None:
+            lines = [f"{key}: {value}" for key, value in payload.items()]
+        for line in lines:
+            print(line)
     except (ValueError, OSError) as exc:
         print(f"redwords: error: {exc}", file=sys.stderr)
         return 1
+    return 2 if payload.get("passed") is False else 0  # only verify reports "passed"
 
 
 if __name__ == "__main__":

@@ -576,6 +576,26 @@ def test_picture_past_the_budget_is_refused(tmp_path, capsys, command, rows, col
     )
 
 
+@pytest.mark.parametrize("model", ["words", "tableaux"])
+def test_super_refuses_a_length_past_the_budget_before_building(capsys, model):
+    """The super element of w has w.length letters or cells; w0 of rank 1415
+    has 1,000,405, refused before any is made."""
+    w0 = ",".join(map(str, range(1415, 0, -1)))
+    start = time.perf_counter()
+    result = run_cli(capsys, "super", "-w", w0, "--model", model)
+    assert time.perf_counter() - start < 1.0
+    assert result == (1, "", "redwords: error: w has length 1000405, over the limit of 1000000\n")
+
+
+def test_super_at_a_length_within_the_budget_is_printed(capsys):
+    code, out, err = run_cli(capsys, "super", "-w", ",".join(map(str, range(1414, 0, -1))))
+    assert (code, err) == (0, "")
+    letters = out.rstrip("\n").split(",")
+    assert len(letters) == 998_991  # the length of w0 of rank 1414
+    assert letters[:4] == ["1413", "1412", "1413", "1411"]
+    assert out.count("\n") == 1
+
+
 def test_picture_at_the_budget_is_drawn(capsys):
     code, out, _ = run_cli(capsys, "biject", "--word", "1000")
     lines = out.splitlines()

@@ -1,3 +1,4 @@
+import json
 import os
 import sys
 import time
@@ -221,6 +222,16 @@ def test_cli_verify_exits_two_on_a_failure(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "CHECK word_inversions_equal_bfs_distance: FAIL w=4,3,2,1 " in out
     assert out.splitlines()[-1].startswith("RESULT: FAIL")
+
+
+def test_cli_verify_json_exits_two_on_a_failure(monkeypatch, capsys):
+    _fault(monkeypatch, words, "word_inversions")
+    assert main(["verify", "--json", "-n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)  # the whole of stdout is one document
+    assert payload["passed"] is False
+    assert any(not check["passed"] for check in payload["checks"])
 
 
 @pytest.mark.parametrize(
