@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from itertools import accumulate
 from pathlib import Path
 
 from .bijection import tableau_to_word, word_to_tableau
@@ -86,16 +87,20 @@ def _read_tableau(path: str) -> Filling:
     return filling
 
 
-def _tableau_payload(f: Filling) -> tuple[dict, list[str]]:
-    """f's text and picture, and its lines: the text, then each picture row
-    (none if f is empty).  The picture is refused when its grid is past the
-    vertex budget."""
-    top, right = (max(axis) for axis in zip((0, 0), *f.cells))  # (0, 0) if f is empty
+def _refuse_picture(top: int, right: int) -> None:
+    """Refuse a picture whose grid is past the vertex budget."""
     if top * right > DEFAULT_VERTEX_BUDGET:
         raise ValueError(
             f"a picture of {top} rows and {right} columns is over the limit of "
             f"{DEFAULT_VERTEX_BUDGET} positions"
         )
+
+
+def _tableau_payload(f: Filling) -> tuple[dict, list[str]]:
+    """f's text and picture, and its lines: the text, then each picture row
+    (none if f is empty).  The picture is refused when its grid is past the
+    vertex budget."""
+    _refuse_picture(*(max(axis) for axis in zip((0, 0), *f.cells)))  # (0, 0) if f is empty
     text, display = f.to_text(), f.render()
     return {"tableau": text, "display": display}, [text] + (display.split("\n") if display else [])
 
@@ -111,6 +116,12 @@ def _cmd_super(args) -> tuple[dict, list[str]]:
     w = Permutation.from_text(args.w)
     if (ell := w.length) > DEFAULT_VERTEX_BUDGET:  # the element has ell letters or cells
         raise ValueError(f"w has length {ell}, over the limit of {DEFAULT_VERTEX_BUDGET}")
+    if args.model == "tableaux":  # its cells are w's Rothe diagram: refuse the picture before the build
+        low = list(accumulate(reversed(w), min))[::-1]  # low[i] = min(w[i:])
+        _refuse_picture(  # the last row has a smaller value right of it, the last column a larger one left of it
+            max((i for i, (v, m) in enumerate(zip(w, low), 1) if v != m), default=0),
+            max((v for v, m in zip(w, accumulate(w, max)) if v != m), default=0),
+        )
     top = lookup_model(args.model).top(w)
     payload = {"w": str(w), "model": args.model, "element": top.to_text()}
     if args.model != "tableaux":

@@ -7,8 +7,9 @@ of English Young-tableau habits; every formula here assumes it.
 ``Diagram(...)``, ``Filling(...)`` and their ``from_text`` validate every
 input; ``from_text`` reads through ``perms._read_ints``, the package's one
 text reader.  Values the package derives from valid ones are built
-unchecked: the Rothe diagram and a filling's with ``object.__new__(Diagram)``,
-a decoded permutation with ``tuple.__new__``, fillings (moves, enumeration,
+unchecked: the Rothe diagram and a filling's with
+``tuple.__new__(Diagram, cells)``, a decoded permutation with
+``tuple.__new__(Permutation, entries)``, fillings (moves, enumeration,
 flip, complement, super, row-interval and reconstructed fillings) with
 ``_filling(cells, entries)``; use that form only where the cells are
 distinct, positive and in row-major order, and the entries positive, by
@@ -27,49 +28,38 @@ from .words import Word
 Cell = tuple[int, int]
 
 
-class Diagram:
-    """A finite set of first-quadrant cells, canonically sorted row-major."""
+class Diagram(tuple):
+    """A finite set of first-quadrant cells: the tuple of them, sorted row-major."""
 
-    __slots__ = ("cells",)
+    __slots__ = ()
 
-    def __init__(self, cells: Iterable[Cell] = ()):
+    def __new__(cls, cells: Iterable[Cell] = ()) -> "Diagram":
         cells = tuple(sorted({(int(r), int(c)) for r, c in cells}))
         for r, c in cells:
             if r < 1 or c < 1:
                 raise ValueError(f"cell off the first quadrant: {(r, c)}")
-        self.cells = cells
+        return tuple.__new__(cls, cells)
 
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cells
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Diagram) and self.cells == other.cells
-
-    def __hash__(self) -> int:
-        return hash(self.cells)
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"Diagram({list(self.cells)!r})"
+        return f"Diagram({list(self)!r})"
 
     def rows(self) -> dict[int, list[int]]:
         """Occupied rows, bottom to top: row index -> sorted column list."""
         out: dict[int, list[int]] = {}
-        for r, c in self.cells:
+        for r, c in self:
             out.setdefault(r, []).append(c)
         return out
 
     def transpose(self) -> "Diagram":
-        return Diagram((c, r) for r, c in self.cells)
+        return Diagram((c, r) for r, c in self)
 
     def to_text(self) -> str:
         """Semicolon-separated ``row,col`` pairs in row-major order."""
-        return ";".join(f"{r},{c}" for r, c in self.cells)
+        return ";".join(f"{r},{c}" for r, c in self)
 
     @classmethod
     def from_text(cls, text: str) -> "Diagram":
@@ -102,9 +92,7 @@ class Filling:
 
     @property
     def diagram(self) -> Diagram:
-        d = object.__new__(Diagram)  # the cells are already canonical
-        d.cells = self.cells
-        return d
+        return tuple.__new__(Diagram, self.cells)  # the cells are already canonical
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -194,9 +182,7 @@ def rothe_diagram(w: Permutation) -> Diagram:
         cells += [(i, -c) for c in seen[k:]]
         seen.insert(k, x)
     cells.reverse()
-    d = object.__new__(Diagram)  # the cells are distinct and positive
-    d.cells = tuple(cells)
-    return d
+    return tuple.__new__(Diagram, cells)  # the cells are distinct and positive
 
 
 def row_interval_filling(d: Diagram) -> Filling:
@@ -255,7 +241,7 @@ def permutation_of_diagram(d: Diagram) -> Permutation:
     """The permutation whose Rothe diagram this is, with no trailing fixed
     points beyond the occupied rows: the row sizes decoded as an inversion
     table, kept only if its diagram is d, so non-Rothe cell sets are rejected."""
-    w = _decode_rows(d.cells)
+    w = _decode_rows(d)
     if rothe_diagram(w) != d:
         raise ValueError("cell set is not the diagram of a permutation")
     return w

@@ -2,11 +2,13 @@
 and their tableau counterparts, transcribed as letter tuples / cell fillings,
 plus small graph-search oracles that are independent of the library's graph
 code, the paper's pairing scan as a reference for the pairing
-permutation, a plain depth-first enumeration of reduced words, and the
-balance check cell against cell; and an autouse fixture that empties the
-package's memos before each test."""
+permutation, the braid statistic as a count of triples, a plain
+depth-first enumeration of reduced words, and the balance check cell
+against cell; and an autouse fixture that empties the package's memos
+before each test."""
 
 from collections import defaultdict, deque
+from itertools import combinations
 from typing import Iterator
 
 import pytest
@@ -248,6 +250,28 @@ def reference_pairing(word: Word) -> tuple[Permutation, Permutation, int]:
         # entries placed so far sit right of i; those of later slots are smaller
         inversions += ell - 1 - slot - (len(slots) - p)
     return Permutation(out), w, inversions
+
+
+def reference_braid_triples(word) -> int:
+    """The braid statistic as a count of triples: replay the word from the
+    identity, rightmost letter first, noting the step at which each pair of
+    values x < y is swapped; count the triples x < y < z whose three pairs
+    are all swapped, in the order xy, xz, yz.  (A triple's three swaps come
+    in that order or in the reverse one; a commutation swaps the pairs of
+    four distinct values, so it reorders no triple's swaps.)"""
+    v = list(range(1, max(word, default=0) + 2))
+    step = {}  # (x, y) -> the step that swapped it
+    for k, letter in enumerate(reversed(word)):
+        x, y = v[letter - 1], v[letter]
+        if x > y:
+            raise ValueError(f"word is not reduced: {word}")
+        v[letter - 1], v[letter] = y, x
+        step[x, y] = k
+    return sum(
+        1
+        for x, y, z in combinations(range(1, len(v) + 1), 3)
+        if {(x, y), (x, z), (y, z)} <= step.keys() and step[x, y] < step[x, z] < step[y, z]
+    )
 
 
 def reference_is_balanced(f):

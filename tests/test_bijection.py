@@ -3,6 +3,7 @@ import random
 import re
 from itertools import combinations
 from itertools import permutations as itertools_permutations
+from math import comb
 
 import pytest
 
@@ -20,6 +21,7 @@ from redwords import (
     is_balanced,
     pairing_permutation,
     permutation_of_diagram,
+    psi,
     reconstruct_from_row_multisets,
     rothe_diagram,
     super_tableau,
@@ -46,8 +48,10 @@ from conftest import (
     grid_edges,
     oracle_distance,
     random_reduced_word,
+    reference_braid_triples,
     reference_is_balanced,
     reference_pairing,
+    reference_reduced_words,
     tableau_42153,
     tableau_4321,
 )
@@ -422,3 +426,79 @@ def test_read_path_pairs_each_word_once():
             # one word kept: rho, so the super word was never replayed
             assert (replays.misses, replays.hits, replays.currsize) == (1, 2, 1)
             assert (walks.misses, walks.hits) == (1, 1)
+
+
+def _braid_counts(rho: Word, w: Permutation) -> tuple[int, int, int]:
+    """The triple count of rho, and the package's two braid statistics."""
+    return (
+        reference_braid_triples(rho),
+        yang_baxter_count(rho, super_word(w)),
+        column_inversions(word_to_tableau(rho)),
+    )
+
+
+def _triples_agree_on_every_word(ranks) -> int:
+    """Checks the three counts on every reduced word of every w of S_n for
+    n in ranks; returns the number of words."""
+    words = 0
+    for n in ranks:
+        for w in all_permutations(n):
+            for rho in reference_reduced_words(w):
+                triples, braids, columns = _braid_counts(rho, w)
+                assert triples == braids == columns, rho
+                words += 1
+    return words
+
+
+def _move_walk(rng, word: Word, steps: int):
+    """The words along a seeded walk of Coxeter moves from word, each move
+    found and applied on a plain list."""
+    letters = list(word)
+    for _ in range(steps):
+        ell = len(letters)
+        spots = [(i, 2) for i in range(ell - 1) if abs(letters[i] - letters[i + 1]) > 1]
+        spots += [
+            (i, 3)
+            for i in range(ell - 2)
+            if letters[i] == letters[i + 2] and abs(letters[i] - letters[i + 1]) == 1
+        ]
+        i, width = rng.choice(spots)
+        a, b = letters[i], letters[i + 1]
+        letters[i : i + width] = (b, a) if width == 2 else (b, a, b)
+        yield Word(letters)
+
+
+def test_braid_statistic_counts_triples():
+    """Every reduced word of S_1..S_5: the triples swapped in the order xy,
+    xz, yz number its Yang-Baxter count toward the super word and its
+    tableau's column inversions."""
+    assert _triples_agree_on_every_word(range(1, 6)) == 3137
+
+
+def test_braid_statistic_counts_triples_past_rank_6():
+    """Words along seeded move walks from the super word of w0, at n = 7..15:
+    20 words at each n, every fifth of a 100-move walk."""
+    rng = random.Random(17)
+    for n in range(7, 16):
+        w0 = Permutation.longest(n)
+        for k, rho in enumerate(_move_walk(rng, super_word(w0), 100), 1):
+            if k % 5 == 0:
+                triples, braids, columns = _braid_counts(rho, w0)
+                assert triples == braids == columns, rho
+
+
+def test_the_w0_bottom_word_has_every_triple():
+    """psi of the super tableau of w0 is the bottom element: its word swaps
+    all C(n, 3) triples in the order xy, xz, yz."""
+    for n in range(3, 9):
+        rho = tableau_to_word(psi(super_tableau(Permutation.longest(n))))
+        assert reference_braid_triples(rho) == comb(n, 3)
+
+
+@pytest.mark.skipif(
+    os.environ.get("REDWORDS_STRESS") != "1",
+    reason="S_6 stress run; set REDWORDS_STRESS=1 to enable",
+)
+def test_braid_statistic_counts_triples_on_s6_stress():
+    """All 1,095,266 reduced words of the 720 permutations of S_6."""
+    assert _triples_agree_on_every_word([6]) == 1_095_266

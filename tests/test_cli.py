@@ -2,10 +2,13 @@ import hashlib
 import json
 import os
 import time
+import tracemalloc
+from argparse import Namespace
 
 import pytest
 
-from redwords import Filling, Permutation, build_graph, export, super_tableau
+from redwords import Filling, Permutation, all_permutations, build_graph, export, super_tableau
+from redwords import cli
 from redwords.cli import main
 
 from conftest import WORD_GRID_42153
@@ -585,6 +588,49 @@ def test_super_refuses_a_length_past_the_budget_before_building(capsys, model):
     result = run_cli(capsys, "super", "-w", w0, "--model", model)
     assert time.perf_counter() - start < 1.0
     assert result == (1, "", "redwords: error: w has length 1000405, over the limit of 1000000\n")
+
+
+def test_super_refuses_a_picture_past_the_budget_before_building(capsys):
+    """w0 of rank 1414 has 998,991 cells, within the length limit, and a
+    picture of 1413 by 1413 positions: refused from w itself, before the
+    super tableau is built (the build alone peaked at about 234 MB)."""
+    w0 = ",".join(map(str, range(1414, 0, -1)))
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, "super", "-w", w0, "--model", "tableaux")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (
+        1,
+        "",
+        "redwords: error: a picture of 1413 rows and 1413 columns is over the limit of 1000000 positions\n",
+    )
+    assert peak < 10 * 2**20
+
+
+def test_super_refuses_the_picture_exactly_when_its_tableau_would_be(monkeypatch):
+    """Under a budget of 15, every w of S_1..S_6 is refused from w exactly
+    when the picture of its built super tableau is refused, with the same
+    message: w0 of rank 6 (5 x 5) is refused, 4,2,1,5,3 (4 x 3) is drawn."""
+    monkeypatch.setattr(cli, "DEFAULT_VERTEX_BUDGET", 15)
+
+    def refusal(run, *args):
+        try:
+            run(*args)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    refused = set()
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            expected = refusal(cli._tableau_payload, super_tableau(w))
+            assert refusal(cli._cmd_super, Namespace(w=str(w), model="tableaux")) == expected, str(w)
+            if expected is not None:
+                refused.add(str(w))
+    assert "6,5,4,3,2,1" in refused
+    assert "4,2,1,5,3" not in refused
 
 
 def test_super_at_a_length_within_the_budget_is_printed(capsys):

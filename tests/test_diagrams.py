@@ -1,4 +1,5 @@
 import os
+import pickle
 import time
 from itertools import permutations as itertools_permutations
 
@@ -281,6 +282,24 @@ def test_diagram_text_round_trip():
     assert Diagram.from_text("") == Diagram()
     with pytest.raises(ValueError):
         Diagram.from_text("1,2,3")
+
+
+def test_a_diagram_is_the_tuple_of_its_cells():
+    d = rothe_diagram(W8)
+    assert isinstance(d, tuple)
+    assert d.cells == tuple(d) and type(d.cells) is tuple
+    assert hash(d) == hash(d.cells)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(d, protocol))
+        assert type(back) is Diagram and back == d
+    assert Diagram() == ()
+    assert Diagram([(2, 1), (1, 3), (2, 1)]).cells == ((1, 3), (2, 1))
+    with pytest.raises(ValueError) as exc:
+        Diagram([(1, 1), (0, 2)])
+    assert str(exc.value) == "cell off the first quadrant: (0, 2)"
+    for w in all_permutations(5):
+        built = super_tableau(w).diagram
+        assert type(built) is Diagram and built == rothe_diagram(w)
 
 
 def test_text_forms_name_a_malformed_field():
